@@ -102,6 +102,19 @@ def percentile_curve(
     return [(float(p), float(v)) for p, v in zip(points, values)]
 
 
+def rtt_percentiles(
+    rtts_seconds: Sequence[float] | np.ndarray, points: Sequence[float]
+) -> tuple[float, ...]:
+    """RTT in milliseconds at each of ``points`` (e.g. ``(50, 99)``).
+
+    Unlike :func:`percentile_curve`, a table cell needs a value even when
+    nothing was measured: no samples gives one NaN per point.
+    """
+    if len(rtts_seconds) == 0:
+        return tuple(float("nan") for _ in points)
+    return tuple(float(np.percentile(rtts_seconds, p) * 1e3) for p in points)
+
+
 def within_threshold(
     rtts_seconds: Sequence[float] | np.ndarray, threshold_s: float
 ) -> float:

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-import numpy as np
-
 from repro.core import ExperimentResult, percentile_curve
-from repro.core.metrics import soft_realtime_compliance
+from repro.core.metrics import rtt_percentiles, soft_realtime_compliance
 from repro.faults import RetryPolicy, named_plan
 from repro.harness.scale import Scale
 from repro.plog import ACKS_ALL, PlogConfig
@@ -45,11 +43,8 @@ FAILOVER_RETRY = RetryPolicy(retries=4, backoff=0.1)
 DURABILITY_RETRY = RetryPolicy(retries=8, backoff=0.1)
 
 
-def _tail(rtts: Any) -> tuple[float, float, float]:
-    """(p95, p99, p100) in milliseconds; NaNs when nothing was measured."""
-    if rtts is None or len(rtts) == 0:
-        return float("nan"), float("nan"), float("nan")
-    return tuple(float(np.percentile(rtts, p) * 1e3) for p in (95, 99, 100))
+#: The RTT tail columns of every chaos table.
+TAIL = (95, 99, 100)
 
 
 def chaos_threeway(
@@ -121,7 +116,7 @@ def chaos_threeway(
     )
     rows = []
     for label, run in legs:
-        p95, p99, p100 = _tail(run.rtts)
+        p95, p99, p100 = rtt_percentiles(run.rtts, TAIL)
         compliant, frac_late, _loss = soft_realtime_compliance(
             run.book, deadline_s=5.0, since=run.measure_since
         )
@@ -237,7 +232,7 @@ def chaos_durability(
     )
     rows = []
     for label, run in legs:
-        _p95, _p99, p100 = _tail(run.rtts)
+        p100 = rtt_percentiles(run.rtts, (100,))[0]
         redeliveries = getattr(run, "redeliveries", 0)
         clean = run.loss_rate == 0.0 and run.duplicates == 0
         rows.append([
@@ -351,7 +346,7 @@ def chaos_broker_failover(
         last_run = run
         if config.replication_factor > 1:
             replicated_run = run
-        p95, p99, p100 = _tail(run.rtts)
+        p95, p99, p100 = rtt_percentiles(run.rtts, TAIL)
         rows.append([
             label, run.sent, run.received, f"{run.loss_rate:.4%}",
             run.acked_lost, run.elections, p100, run.producer_retries,
@@ -451,7 +446,7 @@ def chaos_replication(
             fault_plan=template,
         )
         runs[label] = run
-        p95, p99, p100 = _tail(run.rtts)
+        p95, p99, p100 = rtt_percentiles(run.rtts, TAIL)
         rows.append([
             label, run.sent, run.acked, run.received,
             f"{run.loss_rate:.4%}", run.acked_lost, run.elections,
@@ -542,7 +537,7 @@ def chaos_adaptive_backoff(
             fault_plan=template,
         )
         runs[label] = run
-        p95, p99, p100 = _tail(run.rtts)
+        p95, p99, p100 = rtt_percentiles(run.rtts, TAIL)
         rows.append([
             label, run.sent, run.received, f"{run.loss_rate:.4%}",
             p95, p99, p100, run.producer_retries, run.duplicates,

@@ -1,6 +1,6 @@
 """Edge-tier experiments: gateway scaling and gateway-crash recovery.
 
-Two building blocks:
+Two :func:`repro.harness.leg.run_leg` adapters:
 
 * :func:`edge_point` — one run: a middleware deployment (Narada broker,
   R-GMA single-server site, or plog partitioned log) fed by a fixed
@@ -25,14 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-import numpy as np
-
-from repro.core import ExperimentResult, RecordBook, rtt_stats
+from repro.core import ExperimentResult, RecordBook
 from repro.edge.client import EdgeClient
 from repro.edge.config import EdgeConfig
 from repro.edge.deployment import EdgeTier, gateway_node_names
 from repro.edge.upstream import NaradaUpstream, PlogUpstream, RgmaUpstream
 from repro.federation.deployment import FederationCluster
+from repro.harness.leg import LegResult, Window, fleet_for, run_leg
 from repro.harness.scale import Scale
 from repro.narada import Broker, NaradaConfig
 from repro.plog import PlogConfig, PlogDeployment
@@ -90,22 +89,13 @@ def sweep_cache_key(
     return tuple((c, g, middleware, cfg) for c, g in points)
 
 
-@dataclass
-class EdgeRunResult:
+@dataclass(kw_only=True)
+class EdgeRunResult(LegResult):
     """Everything one edge run produces."""
 
     middleware: str
     n_clients: int
     n_gateways: int
-    book: RecordBook
-    measure_since: float
-    sent: int
-    received: int
-    mean_rtt_ms: float
-    loss_rate: float
-    rtt_p50_ms: float
-    rtt_p99_ms: float
-    rtts: Any  # np.ndarray of measured-window RTT seconds
     #: Pooled middleware connections held by the whole gateway tier at run
     #: end — the number that must stay O(topics), not O(clients).
     pooled_connections: int
@@ -127,27 +117,11 @@ class EdgeRunResult:
     gateway_stats: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass
-class DirectRunResult:
+@dataclass(kw_only=True)
+class DirectRunResult(LegResult):
     """The no-edge baseline: native middleware delivery."""
 
     middleware: str
-    sent: int
-    received: int
-    mean_rtt_ms: float
-    loss_rate: float
-    rtt_p50_ms: float
-    rtt_p99_ms: float
-    rtts: Any
-
-
-def _percentiles(rtts: Any) -> tuple[float, float]:
-    if len(rtts) == 0:
-        return float("nan"), float("nan")
-    return (
-        float(np.percentile(rtts, 50) * 1e3),
-        float(np.percentile(rtts, 99) * 1e3),
-    )
 
 
 def _build_cluster(sim: Simulator, n_gateways: int) -> FederationCluster:
@@ -211,17 +185,24 @@ def _build_middleware(
     raise ValueError(f"unknown middleware {middleware!r}")
 
 
-def _fleet_config(scale: Scale, stop_at: float) -> FleetConfig:
-    return FleetConfig(
-        n_generators=N_PUBLISHERS,
+def _deploy(
+    sim: Simulator, scale: Scale, n_gateways: int
+) -> tuple[FederationCluster, TcpTransport, Window]:
+    """The Hydra servers, ``n_gateways`` gateway nodes and the client nodes
+    on one LAN, plus the fixed publisher workload's window and fleet."""
+    cluster = _build_cluster(sim, n_gateways)
+    transport = TcpTransport(sim, cluster.lan)
+    creation_span = N_PUBLISHERS * scale.creation_interval_narada
+    measure_since = sim.now + creation_span + scale.warmup[1] + 4.0
+    fleet = fleet_for(
+        scale,
+        measure_since,
+        N_PUBLISHERS,
+        scale.creation_interval_narada,
         publish_interval=PUBLISH_INTERVAL,
-        creation_interval=scale.creation_interval_narada,
-        warmup_min=scale.warmup[0],
-        warmup_max=scale.warmup[1],
-        duration=scale.duration,
-        stop_at=stop_at,
         client_nodes=("hydra5", "hydra6", "hydra7", "hydra8"),
     )
+    return cluster, transport, Window(measure_since, fleet)
 
 
 def edge_point(
@@ -239,148 +220,113 @@ def edge_point(
     gateways in front of ``middleware``.  ``scenario`` perturbs the
     publisher fleet's rates and merges its fault fragment into
     ``fault_plan``."""
-    scale = scale or Scale.from_env()
     config = config or EdgeConfig()
-    sim = Simulator(seed=seed)
-    cluster = _build_cluster(sim, n_gateways)
-    transport = TcpTransport(sim, cluster.lan)
-    book = RecordBook()
 
-    creation_span = N_PUBLISHERS * scale.creation_interval_narada
-    measure_since = sim.now + creation_span + scale.warmup[1] + 4.0
-    stop_at = measure_since + scale.duration
-    fleet_config = _fleet_config(scale, stop_at)
-    from repro.scenario.compiler import arm_scenario, merge_fault_plan
-
-    fleet_config, compiled = arm_scenario(
-        scenario, measure_since, scale.duration, fleet_config
-    )
-    topic, upstream, brokers, _deployment = _build_middleware(
-        sim, cluster, transport, middleware, fleet_config, book
-    )
-
-    tier = EdgeTier(
-        sim, cluster, transport, upstream, n_gateways, (topic,), config=config
-    )
-    tier.start()
-
-    tel = _telemetry()
-    if tel is not None:
-        tel.sample_node(sim, cluster.node(BROKER_NODE), middleware=middleware)
-        for gateway in tier.gateways:
-            tel.sample_node(sim, gateway.node, middleware="edge")
-
-    # Client population: one stamping client homed on gateway 0 plus
-    # cohort-weighted load clients spread over gateways and client nodes.
-    clients: list[EdgeClient] = []
-    stamper = EdgeClient(
-        sim,
-        transport,
-        cluster.node(CLIENT_NODES[0]),
-        tier.addresses,
-        topic,
-        config=config,
-        name="edge-stamper",
-        home=0,
-        weight=1.0,
-        stamping=True,
-        middleware_label=middleware,
-    )
-    clients.append(stamper)
-    n_cohorts = COHORTS_PER_GATEWAY * n_gateways
-    cohort_weight = max(0.0, (n_clients - 1) / n_cohorts)
-    for k in range(n_cohorts):
-        clients.append(
-            EdgeClient(
-                sim,
-                transport,
-                cluster.node(CLIENT_NODES[k % len(CLIENT_NODES)]),
-                tier.addresses,
-                topic,
-                config=config,
-                name=f"edge-cohort{k}",
-                home=k % n_gateways,
-                weight=cohort_weight,
-                stamping=False,
-            )
+    def build(sim, scale):
+        cluster, transport, window = _deploy(sim, scale, n_gateways)
+        fleet_config, book = yield window
+        topic, upstream, brokers, _deployment = _build_middleware(
+            sim, cluster, transport, middleware, fleet_config, book
         )
 
-    def start_clients() -> None:
-        for client in clients:
-            client.start()
+        tier = EdgeTier(
+            sim, cluster, transport, upstream, n_gateways, (topic,), config=config
+        )
+        tier.start()
 
-    # Clients come up once the gateways are listening and subscribed.
-    sim.call_at(sim.now + 1.0, start_clients)
+        tel = _telemetry()
+        if tel is not None:
+            tel.sample_node(sim, cluster.node(BROKER_NODE), middleware=middleware)
+            for gateway in tier.gateways:
+                tel.sample_node(sim, gateway.node, middleware="edge")
 
-    plan = (
-        fault_plan(measure_since, scale.duration)
-        if callable(fault_plan)
-        else fault_plan
-    )
-    plan = merge_fault_plan(compiled, plan)
-    if plan is not None and len(plan):
-        from repro.faults import FaultScheduler
+        # Client population: one stamping client homed on gateway 0 plus
+        # cohort-weighted load clients spread over gateways and client nodes.
+        stamper = EdgeClient(
+            sim,
+            transport,
+            cluster.node(CLIENT_NODES[0]),
+            tier.addresses,
+            topic,
+            config=config,
+            name="edge-stamper",
+            home=0,
+            weight=1.0,
+            stamping=True,
+            middleware_label=middleware,
+        )
+        clients = [stamper]
+        n_cohorts = COHORTS_PER_GATEWAY * n_gateways
+        cohort_weight = max(0.0, (n_clients - 1) / n_cohorts)
+        for k in range(n_cohorts):
+            clients.append(
+                EdgeClient(
+                    sim,
+                    transport,
+                    cluster.node(CLIENT_NODES[k % len(CLIENT_NODES)]),
+                    tier.addresses,
+                    topic,
+                    config=config,
+                    name=f"edge-cohort{k}",
+                    home=k % n_gateways,
+                    weight=cohort_weight,
+                    stamping=False,
+                )
+            )
 
+        def start_clients() -> None:
+            for client in clients:
+                client.start()
+
+        # Clients come up once the gateways are listening and subscribed.
+        sim.call_at(sim.now + 1.0, start_clients)
         # Gateways first: ``broker:0`` in a plan targets gateway 0 (the
         # stamping client's home), per the gateway_outage template.
-        FaultScheduler(sim, plan).attach(
-            lan=cluster.lan,
-            cluster=cluster,
-            brokers=list(tier.gateways) + brokers,
+        yield dict(
+            lan=cluster.lan, cluster=cluster, brokers=list(tier.gateways) + brokers
         )
 
-    sim.run(until=stop_at + scale.drain)
-
-    stats = rtt_stats(book, since=measure_since)
-    rtts = book.rtts(since=measure_since)
-    p50, p99 = _percentiles(rtts)
-    if tel is not None:
-        tel.observe_run(
-            book,
+        gateways = tier.gateways
+        yield dict(
             middleware=middleware,
-            measure_since=measure_since,
-            label=f"edge[{middleware},c{n_clients},g{n_gateways}]",
+            n_clients=n_clients,
+            n_gateways=n_gateways,
+            pooled_connections=tier.total_upstream_connections(),
+            baseline_connections=n_clients,
+            polls=sum(g.stats.polls_received for g in gateways),
+            long_polls_parked=sum(g.stats.long_polls_parked for g in gateways),
+            polls_timed_out=sum(g.stats.polls_timed_out for g in gateways),
+            polls_shed=sum(g.stats.polls_shed for g in gateways),
+            catch_up_polls=sum(g.stats.catch_up_polls for g in gateways),
+            truncated_reads=sum(g.stats.truncated_reads for g in gateways),
+            client_received=stamper.stats.received,
+            client_redeliveries=stamper.stats.redeliveries,
+            client_duplicates=stamper.stats.duplicates,
+            client_failovers=stamper.stats.failovers,
+            client_sheds=stamper.stats.sheds,
+            gateway_stats={
+                g.name: {
+                    "polls": g.stats.polls_received,
+                    "parked_total": g.stats.long_polls_parked,
+                    "timed_out": g.stats.polls_timed_out,
+                    "shed": g.stats.polls_shed,
+                    "events_in": g.stats.events_in,
+                    "events_out": g.stats.events_out,
+                    "upstream_connections": g.upstream_connections,
+                }
+                for g in gateways
+            },
         )
-    return EdgeRunResult(
+
+    return run_leg(
+        build,
+        EdgeRunResult,
         middleware=middleware,
-        n_clients=n_clients,
-        n_gateways=n_gateways,
-        book=book,
-        measure_since=measure_since,
-        sent=stats.sent,
-        received=stats.count,
-        mean_rtt_ms=stats.mean_ms,
-        loss_rate=stats.loss_rate,
-        rtt_p50_ms=p50,
-        rtt_p99_ms=p99,
-        rtts=rtts,
-        pooled_connections=tier.total_upstream_connections(),
-        baseline_connections=n_clients,
-        polls=sum(g.stats.polls_received for g in tier.gateways),
-        long_polls_parked=sum(
-            g.stats.long_polls_parked for g in tier.gateways
-        ),
-        polls_timed_out=sum(g.stats.polls_timed_out for g in tier.gateways),
-        polls_shed=sum(g.stats.polls_shed for g in tier.gateways),
-        catch_up_polls=sum(g.stats.catch_up_polls for g in tier.gateways),
-        truncated_reads=sum(g.stats.truncated_reads for g in tier.gateways),
-        client_received=stamper.stats.received,
-        client_redeliveries=stamper.stats.redeliveries,
-        client_duplicates=stamper.stats.duplicates,
-        client_failovers=stamper.stats.failovers,
-        client_sheds=stamper.stats.sheds,
-        gateway_stats={
-            g.name: {
-                "polls": g.stats.polls_received,
-                "parked_total": g.stats.long_polls_parked,
-                "timed_out": g.stats.polls_timed_out,
-                "shed": g.stats.polls_shed,
-                "events_in": g.stats.events_in,
-                "events_out": g.stats.events_out,
-                "upstream_connections": g.upstream_connections,
-            }
-            for g in tier.gateways
-        },
+        label=f"edge[{middleware},c{n_clients},g{n_gateways}]",
+        scale=scale,
+        seed=seed,
+        fault_plan=fault_plan,
+        scenario=scenario,
     )
 
 
@@ -392,62 +338,42 @@ def direct_point(
 ) -> DirectRunResult:
     """The no-edge baseline: identical publisher workload, one native
     middleware subscriber stamping the records."""
-    scale = scale or Scale.from_env()
-    sim = Simulator(seed=seed)
-    cluster = _build_cluster(sim, n_gateways=0)
-    transport = TcpTransport(sim, cluster.lan)
-    book = RecordBook()
 
-    creation_span = N_PUBLISHERS * scale.creation_interval_narada
-    measure_since = sim.now + creation_span + scale.warmup[1] + 4.0
-    stop_at = measure_since + scale.duration
-    fleet_config = _fleet_config(scale, stop_at)
-    _topic, _upstream, _brokers, deployment = _build_middleware(
-        sim, cluster, transport, middleware, fleet_config, book
-    )
-
-    if middleware == "narada":
-        receiver = NaradaReceiver(
-            sim,
-            cluster,
-            transport,
-            (BROKER_NODE, NARADA_PORT),
-            CLIENT_NODES[0],
-            MONITORING_TOPIC,
-            selector=None,
+    def build(sim, scale):
+        cluster, transport, window = _deploy(sim, scale, n_gateways=0)
+        fleet_config, book = yield window
+        _topic, _upstream, _brokers, deployment = _build_middleware(
+            sim, cluster, transport, middleware, fleet_config, book
         )
-        sim.run_process(receiver.start())
-    elif middleware == "rgma":
-        receiver = RgmaReceiver(sim, cluster, deployment, CLIENT_NODES[0])
-        sim.run_process(receiver.start())
-    else:
-        receiver = PlogReceiver(
-            sim, cluster, deployment, CLIENT_NODES[0], group="direct.monitor"
-        )
-        receiver.start()
+        if middleware == "narada":
+            receiver = NaradaReceiver(
+                sim,
+                cluster,
+                transport,
+                (BROKER_NODE, NARADA_PORT),
+                CLIENT_NODES[0],
+                MONITORING_TOPIC,
+                selector=None,
+            )
+            sim.run_process(receiver.start())
+        elif middleware == "rgma":
+            receiver = RgmaReceiver(sim, cluster, deployment, CLIENT_NODES[0])
+            sim.run_process(receiver.start())
+        else:
+            receiver = PlogReceiver(
+                sim, cluster, deployment, CLIENT_NODES[0], group="direct.monitor"
+            )
+            receiver.start()
+        yield {}
+        yield dict(middleware=middleware)
 
-    sim.run(until=stop_at + scale.drain)
-
-    stats = rtt_stats(book, since=measure_since)
-    rtts = book.rtts(since=measure_since)
-    p50, p99 = _percentiles(rtts)
-    tel = _telemetry()
-    if tel is not None:
-        tel.observe_run(
-            book,
-            middleware=middleware,
-            measure_since=measure_since,
-            label=f"edge_direct[{middleware}]",
-        )
-    return DirectRunResult(
+    return run_leg(
+        build,
+        DirectRunResult,
         middleware=middleware,
-        sent=stats.sent,
-        received=stats.count,
-        mean_rtt_ms=stats.mean_ms,
-        loss_rate=stats.loss_rate,
-        rtt_p50_ms=p50,
-        rtt_p99_ms=p99,
-        rtts=rtts,
+        label=f"edge_direct[{middleware}]",
+        scale=scale,
+        seed=seed,
     )
 
 

@@ -1,6 +1,6 @@
 """Federation experiments: topic-aware tree routing vs the broadcast DBN.
 
-One building block per routing mode:
+One :func:`repro.harness.leg.run_leg` adapter per routing mode:
 
 * :func:`federation_run` — the hierarchical broker tree of
   :mod:`repro.federation`: site publishers and a site-local subscriber at
@@ -26,9 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
-import numpy as np
-
-from repro.core import ExperimentResult, RecordBook, rtt_stats
+from repro.core import ExperimentResult, RecordBook
 from repro.federation import (
     FederationController,
     FederationDeployment,
@@ -38,6 +36,7 @@ from repro.federation import (
     TreeTopology,
     site_topic,
 )
+from repro.harness.leg import LegResult, Window, run_leg
 from repro.harness.scale import Scale
 from repro.jms.destination import Topic
 from repro.narada import Broker, NaradaConfig, star_network
@@ -85,22 +84,12 @@ def sweep_cache_key(
     )
 
 
-@dataclass
-class FederationRunResult:
+@dataclass(kw_only=True)
+class FederationRunResult(LegResult):
     """Everything one federation test run produces."""
 
     n_brokers: int
     routing: str
-    book: RecordBook
-    measure_since: float
-    sent: int
-    received: int
-    mean_rtt_ms: float
-    stddev_rtt_ms: float
-    loss_rate: float
-    rtt_p50_ms: float
-    rtt_p99_ms: float
-    rtts: Any  # np.ndarray of measured-window RTT seconds
     #: Event messages per directed inter-broker link over the measured
     #: window (every tree/star link appears, idle ones at 0).
     link_messages: dict[tuple[str, str], int]
@@ -113,22 +102,14 @@ class FederationRunResult:
     broker_stats: dict[str, Any] = field(default_factory=dict)
 
 
-def _percentiles(rtts: Any) -> tuple[float, float]:
-    if len(rtts) == 0:
-        return float("nan"), float("nan")
-    return (
-        float(np.percentile(rtts, 50) * 1e3),
-        float(np.percentile(rtts, 99) * 1e3),
-    )
-
-
-def _link_summary(
-    totals: dict[tuple[str, str], int]
-) -> tuple[float, float]:
+def _link_fields(totals: dict[tuple[str, str], int]) -> dict[str, Any]:
+    """The per-link traffic fields of a :class:`FederationRunResult`."""
     counts = list(totals.values())
-    if not counts:
-        return 0.0, 0.0
-    return sum(counts) / len(counts), float(max(counts))
+    return dict(
+        link_messages=totals,
+        per_link_mean=sum(counts) / len(counts) if counts else 0.0,
+        per_link_max=float(max(counts)) if counts else 0.0,
+    )
 
 
 def federation_run(
@@ -152,116 +133,86 @@ def federation_run(
     broker crashes against the tree; the :class:`FederationController`
     re-parents and re-converges routing during the run.
     """
-    scale = scale or Scale.from_env()
-    sim = Simulator(seed=seed)
-    topology = TreeTopology(n_brokers, fanout)
-    deployment = FederationDeployment(sim, topology, config=config)
-    sim.run_process(deployment.start())
-    controller = FederationController(
-        sim, deployment, detect_interval=detect_interval
-    )
-    controller.start()
 
-    tel = _telemetry()
-    if tel is not None:
-        tel.sample_node(sim, deployment.node(topology.root), middleware="federation")
-
-    book = RecordBook()
-    all_topics = tuple(site_topic(i) for i in range(n_brokers))
-    control_room = FederationSubscriber(
-        sim, deployment, topology.root, "control", all_topics, stamp_records=True
-    )
-    sim.run_process(control_room.start())
-    site_subs = []
-    for i, name in enumerate(topology.names):
-        sub = FederationSubscriber(
-            sim, deployment, name, f"site{i}", (site_topic(i),),
-            stamp_records=False,
+    def build(sim, scale):
+        topology = TreeTopology(n_brokers, fanout)
+        deployment = FederationDeployment(sim, topology, config=config)
+        sim.run_process(deployment.start())
+        controller = FederationController(
+            sim, deployment, detect_interval=detect_interval
         )
-        sim.run_process(sub.start())
-        site_subs.append(sub)
+        controller.start()
 
-    measure_since = sim.now + scale.warmup[1] + 2.0
-    stop_at = measure_since + scale.duration
-    fleets = []
-    for i, name in enumerate(topology.names):
-        fleet = FederationSitePublishers(
-            sim,
-            deployment,
-            name,
-            site_topic(i),
-            publishers_per_broker,
-            publish_interval,
-            book,
-            stop_at=stop_at,
-            warmup=scale.warmup,
-            gen_id_base=i * 1000,
+        tel = _telemetry()
+        if tel is not None:
+            tel.sample_node(sim, deployment.node(topology.root), middleware="federation")
+
+        all_topics = tuple(site_topic(i) for i in range(n_brokers))
+        control_room = FederationSubscriber(
+            sim, deployment, topology.root, "control", all_topics, stamp_records=True
         )
-        fleet.start()
-        fleets.append(fleet)
+        sim.run_process(control_room.start())
+        for i, name in enumerate(topology.names):
+            sub = FederationSubscriber(
+                sim, deployment, name, f"site{i}", (site_topic(i),),
+                stamp_records=False,
+            )
+            sim.run_process(sub.start())
 
-    if fault_plan is not None:
-        from repro.faults import FaultScheduler
-
-        plan = (
-            fault_plan(measure_since, scale.duration)
-            if callable(fault_plan)
-            else fault_plan
-        )
-        FaultScheduler(sim, plan).attach(
+        measure_since = sim.now + scale.warmup[1] + 2.0
+        _, book = yield Window(measure_since)
+        for i, name in enumerate(topology.names):
+            FederationSitePublishers(
+                sim,
+                deployment,
+                name,
+                site_topic(i),
+                publishers_per_broker,
+                publish_interval,
+                book,
+                stop_at=measure_since + scale.duration,
+                warmup=scale.warmup,
+                gen_id_base=i * 1000,
+            ).start()
+        snapshot: dict[tuple[str, str], int] = {}
+        sim.call_at(measure_since, lambda: snapshot.update(deployment.link_snapshot()))
+        yield dict(
             lan=deployment.cluster.lan,
             cluster=deployment.cluster,
             brokers=deployment.brokers,
         )
 
-    snapshot: dict[tuple[str, str], int] = {}
-    sim.call_at(measure_since, lambda: snapshot.update(deployment.link_snapshot()))
-    sim.run(until=stop_at + scale.drain)
-
-    stats = rtt_stats(book, since=measure_since)
-    rtts = book.rtts(since=measure_since)
-    p50, p99 = _percentiles(rtts)
-    totals = deployment.link_totals(since_snapshot=snapshot)
-    per_link_mean, per_link_max = _link_summary(totals)
-    if tel is not None:
-        tel.observe_run(
-            book,
-            middleware="federation",
-            measure_since=measure_since,
-            label=f"federation[{n_brokers}]",
+        totals = deployment.link_totals(since_snapshot=snapshot)
+        yield dict(
+            n_brokers=n_brokers,
+            routing="routed",
+            **_link_fields(totals),
+            control_messages=sum(
+                b.stats.control_messages for b in deployment.brokers
+            ),
+            orphaned_up=sum(b.stats.orphaned_up for b in deployment.brokers),
+            reparents=controller.reparents,
+            converged=deployment.converged(),
+            broker_stats={
+                b.name: {
+                    "published": b.stats.messages_published,
+                    "delivered": b.stats.messages_delivered,
+                    "forwards_up": b.stats.forwards_up,
+                    "forwards_down": b.stats.forwards_down,
+                    "routing_entries": b.table.entry_count(),
+                }
+                for b in deployment.brokers
+            },
         )
-    return FederationRunResult(
-        n_brokers=n_brokers,
-        routing="routed",
-        book=book,
-        measure_since=measure_since,
-        sent=stats.sent,
-        received=stats.count,
-        mean_rtt_ms=stats.mean_ms,
-        stddev_rtt_ms=stats.stddev_ms,
-        loss_rate=stats.loss_rate,
-        rtt_p50_ms=p50,
-        rtt_p99_ms=p99,
-        rtts=rtts,
-        link_messages=totals,
-        per_link_mean=per_link_mean,
-        per_link_max=per_link_max,
-        control_messages=sum(
-            b.stats.control_messages for b in deployment.brokers
-        ),
-        orphaned_up=sum(b.stats.orphaned_up for b in deployment.brokers),
-        reparents=controller.reparents,
-        converged=deployment.converged(),
-        broker_stats={
-            b.name: {
-                "published": b.stats.messages_published,
-                "delivered": b.stats.messages_delivered,
-                "forwards_up": b.stats.forwards_up,
-                "forwards_down": b.stats.forwards_down,
-                "routing_entries": b.table.entry_count(),
-            }
-            for b in deployment.brokers
-        },
+
+    return run_leg(
+        build,
+        FederationRunResult,
+        middleware="federation",
+        label=f"federation[{n_brokers}]",
+        scale=scale,
+        seed=seed,
+        fault_plan=fault_plan,
     )
 
 
@@ -409,99 +360,83 @@ def federation_broadcast_run(
     from repro.federation.deployment import FederationCluster
     from repro.federation.topology import broker_name
 
-    scale = scale or Scale.from_env()
-    sim = Simulator(seed=seed)
-    names = tuple(broker_name(i) for i in range(n_brokers))
-    cluster = FederationCluster(sim, names)
-    transport = TcpTransport(sim, cluster.lan)
     config = config or NaradaConfig()  # broadcast_flaw=True: v1.1.3
-    brokers: list[Broker] = []
-    for name in names:
-        broker = Broker(sim, cluster.node(name), name, config)
-        broker.serve(transport, 6200)
-        broker.port = 6200  # type: ignore[attr-defined]
-        brokers.append(broker)
-    network = sim.run_process(star_network(sim, transport, brokers))
-    ledger = _instrument_star_links(network, brokers)
 
-    tel = _telemetry()
-    if tel is not None:
-        tel.sample_node(sim, cluster.node(names[0]), middleware="narada")
+    def build(sim, scale):
+        names = tuple(broker_name(i) for i in range(n_brokers))
+        cluster = FederationCluster(sim, names)
+        transport = TcpTransport(sim, cluster.lan)
+        brokers: list[Broker] = []
+        for name in names:
+            broker = Broker(sim, cluster.node(name), name, config)
+            broker.serve(transport, 6200)
+            broker.port = 6200  # type: ignore[attr-defined]
+            brokers.append(broker)
+        network = sim.run_process(star_network(sim, transport, brokers))
+        ledger = _instrument_star_links(network, brokers)
 
-    book = RecordBook()
-    all_topics = tuple(site_topic(i) for i in range(n_brokers))
-    sim.run_process(
-        _broadcast_subscriber(
-            sim, transport, cluster.node(names[0]), brokers[0],
-            "control", all_topics, stamp_records=True,
-        )
-    )
-    for i, name in enumerate(names):
+        tel = _telemetry()
+        if tel is not None:
+            tel.sample_node(sim, cluster.node(names[0]), middleware="narada")
+
+        all_topics = tuple(site_topic(i) for i in range(n_brokers))
         sim.run_process(
             _broadcast_subscriber(
-                sim, transport, cluster.node(name), brokers[i],
-                f"site{i}", (site_topic(i),), stamp_records=False,
+                sim, transport, cluster.node(names[0]), brokers[0],
+                "control", all_topics, stamp_records=True,
             )
         )
+        for i, name in enumerate(names):
+            sim.run_process(
+                _broadcast_subscriber(
+                    sim, transport, cluster.node(name), brokers[i],
+                    f"site{i}", (site_topic(i),), stamp_records=False,
+                )
+            )
 
-    measure_since = sim.now + scale.warmup[1] + 2.0
-    stop_at = measure_since + scale.duration
-    for i, name in enumerate(names):
-        _broadcast_publishers(
-            sim,
-            transport,
-            brokers[i],
-            site_topic(i),
-            publishers_per_broker,
-            publish_interval,
-            book,
-            stop_at=stop_at,
-            warmup=scale.warmup,
-            gen_id_base=i * 1000,
+        measure_since = sim.now + scale.warmup[1] + 2.0
+        _, book = yield Window(measure_since)
+        for i, name in enumerate(names):
+            _broadcast_publishers(
+                sim,
+                transport,
+                brokers[i],
+                site_topic(i),
+                publishers_per_broker,
+                publish_interval,
+                book,
+                stop_at=measure_since + scale.duration,
+                warmup=scale.warmup,
+                gen_id_base=i * 1000,
+            )
+        snapshot: dict[tuple[str, str], int] = {}
+        sim.call_at(measure_since, lambda: snapshot.update(ledger))
+        yield {}
+
+        totals = {
+            key: count - snapshot.get(key, 0) for key, count in ledger.items()
+        }
+        yield dict(
+            n_brokers=n_brokers,
+            routing="broadcast",
+            **_link_fields(totals),
+            broker_stats={
+                b.name: {
+                    "published": b.stats.messages_published,
+                    "delivered": b.stats.messages_delivered,
+                    "forwarded": b.stats.messages_forwarded,
+                }
+                for b in brokers
+            },
         )
 
-    snapshot: dict[tuple[str, str], int] = {}
-    sim.call_at(measure_since, lambda: snapshot.update(ledger))
-    sim.run(until=stop_at + scale.drain)
-
-    stats = rtt_stats(book, since=measure_since)
-    rtts = book.rtts(since=measure_since)
-    p50, p99 = _percentiles(rtts)
-    totals = {
-        key: count - snapshot.get(key, 0) for key, count in ledger.items()
-    }
-    per_link_mean, per_link_max = _link_summary(totals)
-    if tel is not None:
-        tel.observe_run(
-            book,
-            middleware="narada",
-            measure_since=measure_since,
-            label=f"federation_broadcast[{n_brokers}]",
-        )
-    return FederationRunResult(
-        n_brokers=n_brokers,
-        routing="broadcast",
-        book=book,
-        measure_since=measure_since,
-        sent=stats.sent,
-        received=stats.count,
-        mean_rtt_ms=stats.mean_ms,
-        stddev_rtt_ms=stats.stddev_ms,
-        loss_rate=stats.loss_rate,
-        rtt_p50_ms=p50,
-        rtt_p99_ms=p99,
-        rtts=rtts,
-        link_messages=totals,
-        per_link_mean=per_link_mean,
-        per_link_max=per_link_max,
-        broker_stats={
-            b.name: {
-                "published": b.stats.messages_published,
-                "delivered": b.stats.messages_delivered,
-                "forwarded": b.stats.messages_forwarded,
-            }
-            for b in brokers
-        },
+    return run_leg(
+        build,
+        FederationRunResult,
+        middleware="narada",
+        label=f"federation_broadcast[{n_brokers}]",
+        scale=scale,
+        seed=seed,
     )
 
 
@@ -515,19 +450,12 @@ def run_federation_sweep(
     jobs: int = 1,
 ) -> dict[int, FederationRunResult]:
     """One sweep leg: ``routing`` is ``"routed"`` or ``"broadcast"``."""
-    from repro.harness.parallel import map_points
+    from repro.harness.parallel import sweep
 
-    fn = {
-        "routed": "federation_run",
-        "broadcast": "federation_broadcast_run",
-    }[routing]
-    results = map_points(
-        __name__,
-        fn,
-        [dict(n_brokers=n, scale=scale, seed=seed) for n in broker_counts],
-        jobs=jobs,
+    fn = {"routed": "federation_run", "broadcast": "federation_broadcast_run"}[routing]
+    return sweep(
+        __name__, fn, "n_brokers", broker_counts, jobs, scale=scale, seed=seed
     )
-    return dict(zip(broker_counts, results))
 
 
 def federation_scaling(

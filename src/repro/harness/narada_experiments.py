@@ -1,8 +1,9 @@
 """NaradaBrokering experiments: Table II / Figs 3, 4, 6, 7, 8, 9.
 
-One building block — :func:`narada_run` — sets up the testbed exactly as
-§III.E describes (brokers, per-node subscribers with id-range selectors,
-staggered generator fleet), runs it, and returns the record book plus node
+:func:`narada_run` is the §III.E test as a :func:`repro.harness.leg.run_leg`
+adapter: it deploys one broker or the 4-broker DBN, per-node subscribers
+with id-range selectors and the staggered generator fleet; the shared
+skeleton arms faults, runs the steady-state window and computes the RTT
 statistics.  The figure builders assemble paper series from such runs.
 """
 
@@ -11,17 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.cluster import HydraCluster, VmStat
-from repro.cluster.vmstat import VmStatSummary
-from repro.core import ExperimentResult, RecordBook, percentile_curve, rtt_stats
+from repro.cluster import HydraCluster
+from repro.core import ExperimentResult, percentile_curve
 from repro.core.metrics import within_threshold
+from repro.harness.leg import LegResult, Window, fleet_for, run_leg, watch_nodes
 from repro.harness.scale import Scale
 from repro.jms import AckMode
 from repro.narada import Broker, NaradaConfig, star_network
-from repro.powergrid import FleetConfig, NaradaFleet, NaradaReceiver
+from repro.powergrid import NaradaFleet, NaradaReceiver
 from repro.powergrid.workload import MONITORING_TOPIC
-from repro.sim import Simulator
-from repro.telemetry.context import current as _telemetry
 from repro.transport import NioTransport, TcpTransport, UdpTransport
 
 BROKER_PORT = 5045
@@ -29,36 +28,28 @@ CLIENT_NODES = ("hydra5", "hydra6", "hydra7", "hydra8")
 BROKER_NODES_SINGLE = ("hydra1",)
 BROKER_NODES_DBN = ("hydra1", "hydra2", "hydra3", "hydra4")
 
+#: Transport constructors by ``transport_kind``.
+TRANSPORTS = {
+    "tcp": TcpTransport,
+    "nio": NioTransport,
+    # JMS over UDP: transport-level ack with retransmission (§III.E.1).
+    "udp": lambda sim, lan: UdpTransport(
+        sim, lan, loss_probability=0.017, acked=True, rto=0.15, max_retries=1
+    ),
+    # Raw datagrams without the JMS ack protocol (the ablation_udp_ack row).
+    "udp_raw": lambda sim, lan: UdpTransport(
+        sim, lan, loss_probability=0.03, acked=False, rto=0.15, max_retries=0
+    ),
+}
 
-def steady_state_summary(vm: VmStat, since: float) -> VmStatSummary:
-    """CPU idle over the steady-state window; memory consumption (peak −
-    bottom, the paper's definition) over the whole run — connection setup is
-    where most memory is committed."""
-    cpu = vm.summary(warmup=since)
-    mem = vm.summary(warmup=0.0)
-    return VmStatSummary(
-        mean_cpu_idle_percent=cpu.mean_cpu_idle_percent,
-        memory_consumption_bytes=mem.memory_consumption_bytes,
-        samples=cpu.samples,
-    )
 
-
-@dataclass
-class NaradaRunResult:
+@dataclass(kw_only=True)
+class NaradaRunResult(LegResult):
     """Everything one test run produces."""
 
     connections: int
-    book: RecordBook
-    measure_since: float
-    vmstat: dict[str, VmStatSummary]
     oom: bool
     refused: int
-    sent: int
-    received: int
-    mean_rtt_ms: float
-    stddev_rtt_ms: float
-    loss_rate: float
-    rtts: Any  # np.ndarray of measured-window RTT seconds
     broker_stats: dict[str, Any] = field(default_factory=dict)
     #: Deliveries that escaped suppression and were counted twice.
     duplicates: int = 0
@@ -68,21 +59,6 @@ class NaradaRunResult:
     receiver_reconnects: int = 0
     #: Retained copies the broker replayed on durable re-subscribes.
     messages_replayed: int = 0
-    #: Human-readable fault injection log ("t=... kind target note").
-    fault_log: list[str] = field(default_factory=list)
-
-
-def _make_transport(kind: str, sim: Simulator, lan: Any) -> Any:
-    if kind == "tcp":
-        return TcpTransport(sim, lan)
-    if kind == "nio":
-        return NioTransport(sim, lan)
-    if kind == "udp":
-        # JMS over UDP: transport-level ack with retransmission (§III.E.1).
-        return UdpTransport(
-            sim, lan, loss_probability=0.017, acked=True, rto=0.15, max_retries=1
-        )
-    raise ValueError(f"unknown transport {kind!r}")
 
 
 def narada_run(
@@ -105,6 +81,7 @@ def narada_run(
     """One §III.E test: ``connections`` generators against one broker or the
     4-broker DBN, measured in steady state.
 
+    ``transport_kind`` names an entry of :data:`TRANSPORTS`.
     ``fault_plan`` (a :class:`repro.faults.FaultPlan` or a template callable
     ``(measure_since, duration) -> FaultPlan``) arms fault injection against
     this run; ``scenario`` (a :class:`repro.scenario.Scenario` or template)
@@ -117,177 +94,133 @@ def narada_run(
     own), and a ``(gen_id, seq)`` index turns the replayed at-least-once
     stream into exactly-once processing.
     """
-    scale = scale or Scale.from_env()
-    sim = Simulator(seed=seed)
-    cluster = HydraCluster(sim)
-    transport = _make_transport(transport_kind, sim, cluster.lan)
+    if transport_kind not in TRANSPORTS:
+        raise ValueError(f"unknown transport {transport_kind!r}")
     config = config or NaradaConfig()
-
     broker_nodes = BROKER_NODES_DBN if dbn else BROKER_NODES_SINGLE
-    brokers: list[Broker] = []
-    for i, node_name in enumerate(broker_nodes):
-        broker = Broker(sim, cluster.node(node_name), f"broker{i + 1}", config)
-        broker.serve(transport, BROKER_PORT)
-        brokers.append(broker)
-    if dbn:
-        # The paper's unit controller (hub) + three leaves, via the shared
-        # single-network builder (also the federation sweep's A/B leg).
-        sim.run_process(star_network(sim, transport, brokers, hub_index=0))
 
-    vmstats = {
-        node_name: VmStat(sim, cluster.node(node_name)) for node_name in broker_nodes
-    }
-    tel = _telemetry()
-    if tel is not None:
-        for node_name in broker_nodes:
-            tel.sample_node(sim, cluster.node(node_name), middleware="narada")
+    def build(sim, scale):
+        cluster = HydraCluster(sim)
+        transport = TRANSPORTS[transport_kind](sim, cluster.lan)
+        brokers: list[Broker] = []
+        for i, node_name in enumerate(broker_nodes):
+            broker = Broker(sim, cluster.node(node_name), f"broker{i + 1}", config)
+            broker.serve(transport, BROKER_PORT)
+            brokers.append(broker)
+        if dbn:
+            # The paper's unit controller (hub) + three leaves, via the shared
+            # single-network builder (also the federation sweep's A/B leg).
+            sim.run_process(star_network(sim, transport, brokers, hub_index=0))
+        vmstats = watch_nodes(sim, cluster, broker_nodes, "narada")
 
-    creation_span = connections * scale.creation_interval_narada
-    measure_since = sim.now + creation_span + scale.warmup[1] + 2.0
-    stop_at = measure_since + scale.duration
-    fleet_config = FleetConfig(
-        n_generators=connections,
-        publish_interval=publish_interval,
-        creation_interval=scale.creation_interval_narada,
-        warmup_min=scale.warmup[0],
-        warmup_max=scale.warmup[1],
-        duration=scale.duration,
-        stop_at=stop_at,
-        payload_multiplier=payload_multiplier,
-        client_nodes=CLIENT_NODES,
-        retry=fleet_retry,
-        failover=fleet_failover,
-    )
-    from repro.scenario.compiler import arm_scenario, merge_fault_plan
+        creation_span = connections * scale.creation_interval_narada
+        measure_since = sim.now + creation_span + scale.warmup[1] + 2.0
+        fleet_config, book = yield Window(
+            measure_since,
+            fleet_for(
+                scale,
+                measure_since,
+                connections,
+                scale.creation_interval_narada,
+                publish_interval=publish_interval,
+                payload_multiplier=payload_multiplier,
+                client_nodes=CLIENT_NODES,
+                retry=fleet_retry,
+                failover=fleet_failover,
+            ),
+            vmstats,
+        )
 
-    fleet_config, compiled = arm_scenario(
-        scenario, measure_since, scale.duration, fleet_config
-    )
-    book = RecordBook()
-
-    # Per-client-node subscribers, each with an id-range selector covering
-    # its own node's generators ("data were received by the node where they
-    # were sent", §III.E.2).  In the DBN, publishers connect to *publishing*
-    # brokers (the leaves) and subscribers to the *subscribing* broker (the
-    # hub/unit controller) per Fig 5, so every event crosses the broker
-    # network.
-    if dbn:
-        leaf_addresses = [(node, BROKER_PORT) for node in broker_nodes[1:]]
-        publisher_addresses = [
-            leaf_addresses[k % len(leaf_addresses)] for k in range(len(CLIENT_NODES))
-        ]
+        # Per-client-node subscribers, each with an id-range selector covering
+        # its own node's generators ("data were received by the node where they
+        # were sent", §III.E.2).  In the DBN, publishers connect to *publishing*
+        # brokers (the leaves) and subscribers to the *subscribing* broker (the
+        # hub/unit controller) per Fig 5, so every event crosses the broker
+        # network.
         subscriber_address = (broker_nodes[0], BROKER_PORT)
-    else:
-        publisher_addresses = [(broker_nodes[0], BROKER_PORT)] * len(CLIENT_NODES)
-        subscriber_address = (broker_nodes[0], BROKER_PORT)
-    receivers: list[NaradaReceiver] = []
-    receivers_failed = 0
-    for k, client_node in enumerate(CLIENT_NODES):
-        lo, hi = fleet_config.id_range(k)
-        if lo >= hi:
-            continue
-        address = subscriber_address
-        receiver = NaradaReceiver(
+        if dbn:
+            leaf_addresses = [(node, BROKER_PORT) for node in broker_nodes[1:]]
+            publisher_addresses = [
+                leaf_addresses[k % len(leaf_addresses)] for k in range(len(CLIENT_NODES))
+            ]
+        else:
+            publisher_addresses = [subscriber_address] * len(CLIENT_NODES)
+        receivers: list[NaradaReceiver] = []
+        receivers_failed = 0
+        for k, client_node in enumerate(CLIENT_NODES):
+            lo, hi = fleet_config.id_range(k)
+            if lo >= hi:
+                continue
+            receiver = NaradaReceiver(
+                sim,
+                cluster,
+                transport,
+                subscriber_address,
+                client_node,
+                MONITORING_TOPIC,
+                selector=f"id >= {lo} AND id < {hi}",
+                ack_mode=ack_mode,
+                config=config,
+                durable_name=f"durable.{client_node}" if durable_receivers else None,
+                recover=durable_receivers,
+                name=f"narada-recv.{client_node}",
+            )
+            if durable_receivers:
+                # Supervised: start() is a long-running reconnect loop, not a
+                # one-shot connect — run it as a background process.
+                sim.process(receiver.start(), name=f"{receiver.name}.supervisor")
+            else:
+                try:
+                    sim.run_process(receiver.start())
+                except Exception:
+                    receivers_failed += 1
+                    continue
+            receivers.append(receiver)
+
+        fleet = NaradaFleet(
             sim,
             cluster,
             transport,
-            address,
-            client_node,
-            MONITORING_TOPIC,
-            selector=f"id >= {lo} AND id < {hi}",
-            ack_mode=ack_mode,
-            config=config,
-            durable_name=f"durable.{client_node}" if durable_receivers else None,
-            recover=durable_receivers,
-            name=f"narada-recv.{client_node}",
-        )
-        if durable_receivers:
-            # Supervised: start() is a long-running reconnect loop, not a
-            # one-shot connect — run it as a background process.
-            sim.process(receiver.start(), name=f"{receiver.name}.supervisor")
-        else:
-            try:
-                sim.run_process(receiver.start())
-            except Exception:
-                receivers_failed += 1
-                continue
-        receivers.append(receiver)
-
-    fleet = NaradaFleet(
-        sim,
-        cluster,
-        transport,
-        publisher_addresses,
-        fleet_config,
-        book,
-        config=config,
-        topic=MONITORING_TOPIC,
-    )
-    fleet.start()
-
-    plan = (
-        fault_plan(measure_since, scale.duration)
-        if callable(fault_plan)
-        else fault_plan
-    )
-    plan = merge_fault_plan(compiled, plan)
-    scheduler = None
-    if plan is not None and len(plan):
-        from repro.faults import FaultScheduler
-
-        scheduler = FaultScheduler(sim, plan)
-        scheduler.attach(
-            lan=cluster.lan, cluster=cluster, brokers=brokers,
-            consumers=receivers,
-        )
-
-    end = stop_at + scale.drain
-    sim.run(until=end)
-    for vm in vmstats.values():
-        vm.stop()
-
-    stats = rtt_stats(book, since=measure_since)
-    rtts = book.rtts(since=measure_since)
-    if tel is not None:
-        tel.observe_run(
+            publisher_addresses,
+            fleet_config,
             book,
-            middleware="narada",
-            measure_since=measure_since,
-            label=f"narada{'_dbn' if dbn else ''}[{connections}]",
+            config=config,
+            topic=MONITORING_TOPIC,
         )
-    oom = fleet.stats.connections_refused > 0 or receivers_failed > 0
-    return NaradaRunResult(
-        connections=connections,
-        book=book,
-        measure_since=measure_since,
-        vmstat={
-            name: steady_state_summary(vm, measure_since)
-            for name, vm in vmstats.items()
-        },
-        oom=oom,
-        refused=fleet.stats.connections_refused,
-        sent=stats.sent,
-        received=stats.count,
-        mean_rtt_ms=stats.mean_ms,
-        stddev_rtt_ms=stats.stddev_ms,
-        loss_rate=stats.loss_rate,
-        rtts=rtts,
-        duplicates=sum(r.duplicates for r in receivers),
-        redeliveries=sum(r.redeliveries for r in receivers),
-        receiver_reconnects=sum(r.reconnects for r in receivers),
-        messages_replayed=sum(b.stats.messages_replayed for b in brokers),
-        fault_log=scheduler.render_log() if scheduler is not None else [],
-        broker_stats={
-            b.name: {
-                "published": b.stats.messages_published,
-                "delivered": b.stats.messages_delivered,
-                "forwards_received": b.stats.forwards_received,
-                "forwarded": b.stats.messages_forwarded,
-                "replayed": b.stats.messages_replayed,
-                "threads_peak": b.jvm.threads_peak,
-            }
-            for b in brokers
-        },
+        fleet.start()
+        yield dict(lan=cluster.lan, cluster=cluster, brokers=brokers, consumers=receivers)
+
+        refused = fleet.stats.connections_refused
+        yield dict(
+            connections=connections,
+            oom=refused > 0 or receivers_failed > 0,
+            refused=refused,
+            duplicates=sum(r.duplicates for r in receivers),
+            redeliveries=sum(r.redeliveries for r in receivers),
+            receiver_reconnects=sum(r.reconnects for r in receivers),
+            messages_replayed=sum(b.stats.messages_replayed for b in brokers),
+            broker_stats={
+                b.name: {
+                    "published": b.stats.messages_published,
+                    "delivered": b.stats.messages_delivered,
+                    "forwards_received": b.stats.forwards_received,
+                    "forwarded": b.stats.messages_forwarded,
+                    "replayed": b.stats.messages_replayed,
+                    "threads_peak": b.jvm.threads_peak,
+                }
+                for b in brokers
+            },
+        )
+
+    return run_leg(
+        build,
+        NaradaRunResult,
+        middleware="narada",
+        label=f"narada{'_dbn' if dbn else ''}[{connections}]",
+        scale=scale,
+        seed=seed,
+        fault_plan=fault_plan,
+        scenario=scenario,
     )
 
 
@@ -381,15 +314,12 @@ def run_scaling_sweep(
     seed: int = 1,
     jobs: int = 1,
 ) -> dict[int, NaradaRunResult]:
-    from repro.harness.parallel import map_points
+    from repro.harness.parallel import sweep
 
-    results = map_points(
-        __name__,
-        "narada_run",
-        [dict(connections=n, dbn=dbn, scale=scale, seed=seed) for n in connections],
-        jobs=jobs,
+    return sweep(
+        __name__, "narada_run", "connections", connections, jobs,
+        dbn=dbn, scale=scale, seed=seed,
     )
-    return dict(zip(connections, results))
 
 
 def fig7(

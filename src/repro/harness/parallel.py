@@ -117,3 +117,17 @@ def map_points(
     else:
         results = [result for result, _ in outcomes]
     return results
+
+
+def sweep(
+    module_name: str,
+    fn_name: str,
+    param: str,
+    values: Sequence[Any],
+    jobs: Optional[int] = None,
+    **common: Any,
+) -> dict[Any, Any]:
+    """``fn(param=value, **common)`` for every value, fanned out by
+    :func:`map_points`; results keyed by value, in input order."""
+    points = [{param: value, **common} for value in values]
+    return dict(zip(values, map_points(module_name, fn_name, points, jobs=jobs)))

@@ -10,9 +10,9 @@ the same Hydra testbed, same workload, same metrics — and sweep *past* the
 (delivery within ~5 s, delays/loss under 0.5 %) holds at 10,000+
 generators.
 
-One building block — :func:`plog_run` — mirrors
-:func:`repro.harness.narada_experiments.narada_run` exactly: same client
-nodes, same staggered fleet, same steady-state measurement window.
+:func:`plog_run` is a :func:`repro.harness.leg.run_leg` adapter like
+:func:`repro.harness.narada_experiments.narada_run`: same client nodes,
+same staggered fleet, same steady-state measurement window.
 """
 
 from __future__ import annotations
@@ -20,20 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.cluster import HydraCluster, VmStat
-from repro.cluster.vmstat import VmStatSummary
-from repro.core import ExperimentResult, RecordBook, percentile_curve, rtt_stats
+from repro.cluster import HydraCluster
+from repro.core import DedupIndex, ExperimentResult, percentile_curve
 from repro.core.metrics import soft_realtime_compliance
-from repro.faults import FaultScheduler
-from repro.harness.narada_experiments import steady_state_summary
+from repro.harness.leg import LegResult, Window, fleet_for, run_leg, watch_nodes
+from repro.harness.narada_experiments import CLIENT_NODES
 from repro.harness.scale import Scale
 from repro.plog import PlogConfig, PlogDeployment
-from repro.powergrid import FleetConfig, PlogFleet, PlogReceiver
-from repro.sim import Simulator
-from repro.telemetry.context import current as _telemetry
+from repro.powergrid import PlogFleet, PlogReceiver
 from repro.transport import TcpTransport, UdpTransport
 
-CLIENT_NODES = ("hydra5", "hydra6", "hydra7", "hydra8")
 BROKER_NODES_SINGLE = ("hydra1",)
 BROKER_NODES_SPREAD = ("hydra1", "hydra2", "hydra3", "hydra4")
 
@@ -42,27 +38,29 @@ BROKER_NODES_SPREAD = ("hydra1", "hydra2", "hydra3", "hydra4")
 #: connection *count*, not arrival rate, is the independent variable).
 CREATION_CAP_CONNECTIONS = 4000
 
+#: Transport constructors by ``transport_kind``.
+TRANSPORTS = {
+    "tcp": TcpTransport,
+    # Acked datagrams with zero baseline loss: the chaos experiments inject
+    # loss through the LAN fault windows instead, so the no-fault phases of
+    # a run stay clean.
+    "udp": lambda sim, lan: UdpTransport(
+        sim, lan, loss_probability=0.0, acked=True, rto=0.15, max_retries=1
+    ),
+}
 
-@dataclass
-class PlogRunResult:
+
+@dataclass(kw_only=True)
+class PlogRunResult(LegResult):
     """Everything one partitioned-log test run produces."""
 
     connections: int
     n_brokers: int
-    book: RecordBook
-    measure_since: float
-    vmstat: dict[str, VmStatSummary]
     oom: bool
     refused: int
-    sent: int
-    received: int
-    mean_rtt_ms: float
-    stddev_rtt_ms: float
-    loss_rate: float
     #: §I requirement at this load: (compliant, frac_late_or_lost, loss).
     compliant: bool
     frac_late_or_lost: float
-    rtts: Any  # np.ndarray of measured-window RTT seconds
     broker_stats: dict[str, Any] = field(default_factory=dict)
     duplicates: int = 0
     #: Redeliveries the shared (gen_id, seq) sink index absorbed
@@ -73,8 +71,6 @@ class PlogRunResult:
     duplicate_batches: int = 0
     #: Offset commits the coordinator rejected for a stale generation.
     fenced_commits: int = 0
-    #: Human-readable fault injection log ("t=... kind target note").
-    fault_log: list[str] = field(default_factory=list)
     #: Recovery counters (all zero without faults / recovery config).
     producer_retries: int = 0
     producer_reconnects: int = 0
@@ -96,19 +92,6 @@ class PlogRunResult:
     #: ``(time, topic, partition, new_leader)`` per leader election — used
     #: by the determinism tests (same seed => identical log).
     election_log: list = field(default_factory=list)
-
-
-def _plog_transport(kind: str, sim: Simulator, lan: Any) -> Any:
-    if kind == "tcp":
-        return TcpTransport(sim, lan)
-    if kind == "udp":
-        # Acked datagrams with zero baseline loss: the chaos experiments
-        # inject loss through the LAN fault windows instead, so the no-fault
-        # phases of a run stay clean.
-        return UdpTransport(
-            sim, lan, loss_probability=0.0, acked=True, rto=0.15, max_retries=1
-        )
-    raise ValueError(f"unknown transport {kind!r}")
 
 
 def plog_run(
@@ -138,176 +121,129 @@ def plog_run(
     of records a dead member already processed is absorbed as a
     redelivery, not a duplicate.
     """
-    scale = scale or Scale.from_env()
-    sim = Simulator(seed=seed)
-    cluster = HydraCluster(sim)
-    transport = _plog_transport(transport_kind, sim, cluster.lan)
+    if transport_kind not in TRANSPORTS:
+        raise ValueError(f"unknown transport {transport_kind!r}")
     config = config or PlogConfig()
-
     broker_nodes = (
         BROKER_NODES_SPREAD[:n_brokers] if n_brokers > 1 else BROKER_NODES_SINGLE
     )
-    deployment = PlogDeployment(
-        sim, cluster, transport, broker_hosts=broker_nodes, config=config
-    )
-    deployment.serve()
-    vmstats = {
-        node_name: VmStat(sim, cluster.node(node_name)) for node_name in broker_nodes
-    }
-    tel = _telemetry()
-    if tel is not None:
-        for node_name in broker_nodes:
-            tel.sample_node(sim, cluster.node(node_name), middleware="plog")
 
-    creation_interval = scale.creation_interval_narada * min(
-        1.0, CREATION_CAP_CONNECTIONS / max(1, connections)
-    )
-    creation_span = connections * creation_interval
-    measure_since = sim.now + creation_span + scale.warmup[1] + 2.0
-    stop_at = measure_since + scale.duration
-    fleet_config = FleetConfig(
-        n_generators=connections,
-        publish_interval=10.0,
-        creation_interval=creation_interval,
-        warmup_min=scale.warmup[0],
-        warmup_max=scale.warmup[1],
-        duration=scale.duration,
-        stop_at=stop_at,
-        client_nodes=CLIENT_NODES,
-    )
-    from repro.scenario.compiler import arm_scenario, merge_fault_plan
+    def build(sim, scale):
+        cluster = HydraCluster(sim)
+        transport = TRANSPORTS[transport_kind](sim, cluster.lan)
+        deployment = PlogDeployment(
+            sim, cluster, transport, broker_hosts=broker_nodes, config=config
+        )
+        deployment.serve()
+        vmstats = watch_nodes(sim, cluster, broker_nodes, "plog")
 
-    fleet_config, compiled = arm_scenario(
-        scenario, measure_since, scale.duration, fleet_config
-    )
-    book = RecordBook()
+        creation_interval = scale.creation_interval_narada * min(
+            1.0, CREATION_CAP_CONNECTIONS / max(1, connections)
+        )
+        creation_span = connections * creation_interval
+        measure_since = sim.now + creation_span + scale.warmup[1] + 2.0
+        fleet_config, book = yield Window(
+            measure_since,
+            fleet_for(
+                scale,
+                measure_since,
+                connections,
+                creation_interval,
+                client_nodes=CLIENT_NODES,
+            ),
+            vmstats,
+        )
 
-    # One consumer-group member per client node ("data were received by the
-    # node where they were sent", §III.E.2) — the coordinator splits the
-    # topic's partitions evenly among them.
-    dedup = None
-    if dedup_receivers:
-        from repro.core.dedup import DedupIndex
+        # One consumer-group member per client node ("data were received by
+        # the node where they were sent", §III.E.2) — the coordinator splits
+        # the topic's partitions evenly among them.
+        dedup = DedupIndex() if dedup_receivers else None
+        receivers = [
+            PlogReceiver(sim, cluster, deployment, client_node, dedup=dedup)
+            for client_node in CLIENT_NODES
+        ]
+        for receiver in receivers:
+            receiver.start()
 
-        dedup = DedupIndex()
-    receivers = [
-        PlogReceiver(sim, cluster, deployment, client_node, dedup=dedup)
-        for client_node in CLIENT_NODES
-    ]
-    for receiver in receivers:
-        receiver.start()
-
-    fleet = PlogFleet(sim, cluster, deployment, fleet_config, book)
-    fleet.start()
-
-    scheduler = None
-    plan = (
-        fault_plan(measure_since, scale.duration)
-        if callable(fault_plan)
-        else fault_plan
-    )
-    plan = merge_fault_plan(compiled, plan)
-    if plan is not None and len(plan):
-        scheduler = FaultScheduler(sim, plan)
-        scheduler.attach(
+        fleet = PlogFleet(sim, cluster, deployment, fleet_config, book)
+        fleet.start()
+        yield dict(
             lan=cluster.lan,
             cluster=cluster,
             brokers=deployment.brokers,
             consumers=[r.consumer for r in receivers],
         )
 
-    sim.run(until=stop_at + scale.drain)
-    for vm in vmstats.values():
-        vm.stop()
-
-    stats = rtt_stats(book, since=measure_since)
-    rtts = book.rtts(since=measure_since)
-    compliant, frac_late, loss = soft_realtime_compliance(
-        book, deadline_s=deadline_s, since=measure_since
-    )
-    if tel is not None:
-        tel.observe_run(
-            book,
-            middleware="plog",
-            measure_since=measure_since,
-            label=f"plog[{connections}x{len(broker_nodes)}]",
+        brokers = deployment.brokers
+        compliant, frac_late, _loss = soft_realtime_compliance(
+            book, deadline_s=deadline_s, since=measure_since
         )
-    refused = fleet.stats.connections_refused
-    window = [r for r in book.records if r.t_before_send >= measure_since]
-    acked = sum(1 for r in window if r.t_after_send is not None)
-    acked_lost = sum(
-        1
-        for r in window
-        if r.t_after_send is not None and r.t_received is None
-    )
-    controller = deployment.controller
-    return PlogRunResult(
-        connections=connections,
-        n_brokers=len(broker_nodes),
-        book=book,
-        measure_since=measure_since,
-        vmstat={
-            name: steady_state_summary(vm, measure_since)
-            for name, vm in vmstats.items()
-        },
-        oom=refused > 0,
-        refused=refused,
-        sent=stats.sent,
-        received=stats.count,
-        mean_rtt_ms=stats.mean_ms,
-        stddev_rtt_ms=stats.stddev_ms,
-        loss_rate=stats.loss_rate,
-        compliant=compliant,
-        frac_late_or_lost=frac_late,
-        rtts=rtts,
-        broker_stats={
-            b.name: {
-                "connections": b.stats.connections_accepted,
-                "produce_batches": b.stats.produce_batches,
-                "records_appended": b.stats.records_appended,
-                "records_fetched": b.stats.records_fetched,
-                "records_dropped": b.stats.records_dropped,
-                "duplicate_batches": b.stats.duplicate_batches,
-                "fetches": b.stats.fetches,
-                "threads_peak": b.jvm.threads_peak,
-                "heap_committed": b.jvm.committed_bytes,
-            }
-            for b in deployment.brokers
-        },
-        duplicates=sum(r.duplicates for r in receivers),
-        redeliveries=sum(r.redeliveries for r in receivers),
-        duplicate_batches=sum(
-            b.stats.duplicate_batches for b in deployment.brokers
-        ),
-        fenced_commits=sum(
-            b.coordinator.fenced_commits
-            for b in deployment.brokers
-            if b.coordinator is not None
-        ),
-        fault_log=scheduler.render_log() if scheduler is not None else [],
-        producer_retries=sum(p.retries for p in fleet._producers),
-        producer_reconnects=sum(p.reconnects for p in fleet._producers),
-        consumer_recoveries=sum(
-            r.consumer.fetch_retries
-            + r.consumer.fetch_timeouts
-            + r.consumer.reconnects
-            for r in receivers
-        ),
-        acked=acked,
-        acked_lost=acked_lost,
-        elections=controller.elections if controller is not None else 0,
-        coordinator_elections=(
-            controller.coordinator_elections if controller is not None else 0
-        ),
-        isr_shrinks=deployment.total_isr_shrinks(),
-        isr_expands=deployment.total_isr_expands(),
-        records_replicated=deployment.total_records_replicated(),
-        coordinator_rejoins=sum(
-            r.consumer.coordinator_rejoins for r in receivers
-        ),
-        election_log=(
-            list(controller.election_log) if controller is not None else []
-        ),
+        window = [r for r in book.records if r.t_before_send >= measure_since]
+        refused = fleet.stats.connections_refused
+        controller = deployment.controller
+        yield dict(
+            connections=connections,
+            n_brokers=len(broker_nodes),
+            oom=refused > 0,
+            refused=refused,
+            compliant=compliant,
+            frac_late_or_lost=frac_late,
+            broker_stats={
+                b.name: {
+                    "connections": b.stats.connections_accepted,
+                    "produce_batches": b.stats.produce_batches,
+                    "records_appended": b.stats.records_appended,
+                    "records_fetched": b.stats.records_fetched,
+                    "records_dropped": b.stats.records_dropped,
+                    "duplicate_batches": b.stats.duplicate_batches,
+                    "fetches": b.stats.fetches,
+                    "threads_peak": b.jvm.threads_peak,
+                    "heap_committed": b.jvm.committed_bytes,
+                }
+                for b in brokers
+            },
+            duplicates=sum(r.duplicates for r in receivers),
+            redeliveries=sum(r.redeliveries for r in receivers),
+            duplicate_batches=sum(b.stats.duplicate_batches for b in brokers),
+            fenced_commits=sum(
+                b.coordinator.fenced_commits
+                for b in brokers
+                if b.coordinator is not None
+            ),
+            producer_retries=sum(p.retries for p in fleet._producers),
+            producer_reconnects=sum(p.reconnects for p in fleet._producers),
+            consumer_recoveries=sum(
+                r.consumer.fetch_retries
+                + r.consumer.fetch_timeouts
+                + r.consumer.reconnects
+                for r in receivers
+            ),
+            acked=sum(1 for r in window if r.t_after_send is not None),
+            acked_lost=sum(
+                1
+                for r in window
+                if r.t_after_send is not None and r.t_received is None
+            ),
+            elections=controller.elections if controller else 0,
+            coordinator_elections=controller.coordinator_elections if controller else 0,
+            isr_shrinks=deployment.total_isr_shrinks(),
+            isr_expands=deployment.total_isr_expands(),
+            records_replicated=deployment.total_records_replicated(),
+            coordinator_rejoins=sum(
+                r.consumer.coordinator_rejoins for r in receivers
+            ),
+            election_log=list(controller.election_log) if controller else [],
+        )
+
+    return run_leg(
+        build,
+        PlogRunResult,
+        middleware="plog",
+        label=f"plog[{connections}x{len(broker_nodes)}]",
+        scale=scale,
+        seed=seed,
+        fault_plan=fault_plan,
+        scenario=scenario,
     )
 
 
@@ -326,18 +262,12 @@ def run_scaling_sweep(
     seed: int = 1,
     jobs: int = 1,
 ) -> dict[int, PlogRunResult]:
-    from repro.harness.parallel import map_points
+    from repro.harness.parallel import sweep
 
-    results = map_points(
-        __name__,
-        "plog_run",
-        [
-            dict(connections=n, n_brokers=n_brokers, scale=scale, seed=seed)
-            for n in connections
-        ],
-        jobs=jobs,
+    return sweep(
+        __name__, "plog_run", "connections", connections, jobs,
+        n_brokers=n_brokers, scale=scale, seed=seed,
     )
-    return dict(zip(connections, results))
 
 
 def plog_scaling(

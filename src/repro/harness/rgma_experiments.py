@@ -1,25 +1,22 @@
 """R-GMA experiments: Figs 10, 11, 12, 13, 14 and the warm-up loss result.
 
-:func:`rgma_run` reproduces the §III.F setup: generator clients create
-Primary Producers against the producer servlet(s), publish a row every 10 s,
-and per-client-node subscribers poll Consumer resources (with genid-range
-WHERE clauses) every 100 ms.
+:func:`rgma_run` is the §III.F setup as a :func:`repro.harness.leg.run_leg`
+adapter: generator clients create Primary Producers against the producer
+servlet(s), publish a row every 10 s, and per-client-node subscribers poll
+Consumer resources (with genid-range WHERE clauses) every 100 ms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.cluster import HydraCluster, VmStat
-from repro.cluster.vmstat import VmStatSummary
-from repro.core import ExperimentResult, RecordBook, percentile_curve, rtt_stats
-from repro.harness.narada_experiments import steady_state_summary
+from repro.cluster import HydraCluster
+from repro.core import ExperimentResult, percentile_curve, rtt_stats
+from repro.harness.leg import LegResult, Window, fleet_for, run_leg, watch_nodes
 from repro.harness.scale import Scale
-from repro.powergrid import FleetConfig, RgmaFleet, RgmaReceiver
+from repro.powergrid import RgmaFleet, RgmaReceiver
 from repro.rgma import RGMAConfig, RGMADeployment
-from repro.sim import Simulator
-from repro.telemetry.context import current as _telemetry
 from repro.transport.http import HttpClient
 
 #: Generator client nodes (paper: two publish, two receive — §III.F.1).
@@ -27,20 +24,11 @@ PUBLISH_NODES = ("hydra5", "hydra6")
 RECEIVE_NODES = ("hydra7", "hydra8")
 
 
-@dataclass
-class RgmaRunResult:
+@dataclass(kw_only=True)
+class RgmaRunResult(LegResult):
     connections: int
-    book: RecordBook
-    measure_since: float
-    vmstat: dict[str, VmStatSummary]
     oom: bool
     refused: int
-    sent: int
-    received: int
-    mean_rtt_ms: float
-    stddev_rtt_ms: float
-    loss_rate: float
-    rtts: Any
     #: Redelivered tuples the consumers suppressed (first delivery wins).
     duplicates: int = 0
 
@@ -66,135 +54,102 @@ def rgma_run(
     (a :class:`repro.scenario.Scenario` or template) additionally perturbs
     the producers' publication rates and merges its fault fragment in.
     """
-    scale = scale or Scale.from_env()
-    sim = Simulator(seed=seed)
-    cluster = HydraCluster(sim)
     config = config or RGMAConfig()
-    transport = None
-    if use_https:
-        from repro.transport.tls import TlsTransport
 
-        transport = TlsTransport(sim, cluster.lan)
-    if distributed:
-        deployment = RGMADeployment.distributed(sim, cluster, config)
-        server_nodes = ["hydra1", "hydra2", "hydra3", "hydra4"]
-    else:
-        deployment = RGMADeployment.single_server(
-            sim, cluster, config, transport=transport
+    def build(sim, scale):
+        cluster = HydraCluster(sim)
+        transport = None
+        if use_https:
+            from repro.transport.tls import TlsTransport
+
+            transport = TlsTransport(sim, cluster.lan)
+        if distributed:
+            deployment = RGMADeployment.distributed(sim, cluster, config)
+            server_nodes = ("hydra1", "hydra2", "hydra3", "hydra4")
+        else:
+            deployment = RGMADeployment.single_server(
+                sim, cluster, config, transport=transport
+            )
+            server_nodes = ("hydra1",)
+        vmstats = watch_nodes(sim, cluster, server_nodes, "rgma")
+
+        # Secondary producer (Fig 10): one SP on the (first) producer site; the
+        # subscribers then read exclusively through it.
+        if secondary_producer:
+            http = HttpClient(
+                sim,
+                deployment.transport,
+                cluster.node(RECEIVE_NODES[0]),
+                deployment.producer_hosts[0],
+                8080,
+            )
+
+            def create_sp():
+                response = yield from http.request("/sp/create", {"table": "gridmon"}, 120)
+                assert response.status == 200, response.body
+
+            sim.run_process(create_sp())
+
+        creation_span = connections * scale.creation_interval_rgma
+        measure_since = sim.now + creation_span + scale.warmup[1] + config.mediation_period + 4.0
+        fleet_config, book = yield Window(
+            measure_since,
+            fleet_for(
+                scale,
+                measure_since,
+                connections,
+                scale.creation_interval_rgma,
+                client_nodes=PUBLISH_NODES,
+                skip_warmup=skip_warmup,
+            ),
+            vmstats,
         )
-        server_nodes = ["hydra1"]
 
-    vmstats = {name: VmStat(sim, cluster.node(name)) for name in server_nodes}
-    tel = _telemetry()
-    if tel is not None:
-        for name in server_nodes:
-            tel.sample_node(sim, cluster.node(name), middleware="rgma")
+        # Two subscribers, each taking one publisher node's genid block via a
+        # WHERE clause (content-based filtering at the producers).
+        receivers: list[RgmaReceiver] = []
+        for k, node_name in enumerate(RECEIVE_NODES):
+            lo, hi = fleet_config.id_range(k)
+            if lo >= hi:
+                continue
+            receiver = RgmaReceiver(
+                sim,
+                cluster,
+                deployment,
+                node_name,
+                select_sql=f"SELECT * FROM gridmon WHERE genid >= {lo} AND genid < {hi}",
+                consumer_index=k,
+                producer_type="secondary" if secondary_producer else "primary",
+                poll_interval=config.poll_interval,
+            )
+            sim.run_process(receiver.start())
+            receivers.append(receiver)
 
-    # Secondary producer (Fig 10): one SP on the (first) producer site; the
-    # subscribers then read exclusively through it.
-    if secondary_producer:
-        http = HttpClient(
-            sim,
-            deployment.transport,
-            cluster.node(RECEIVE_NODES[0]),
-            deployment.producer_hosts[0],
-            8080,
+        fleet = RgmaFleet(sim, cluster, deployment, fleet_config, book)
+        fleet.start()
+        yield dict(lan=cluster.lan, cluster=cluster)
+
+        for receiver in receivers:
+            receiver.stop()
+        yield dict(
+            connections=connections,
+            oom=fleet.stats.connections_refused > 0,
+            refused=fleet.stats.connections_refused,
+            duplicates=sum(r.duplicates for r in receivers),
         )
 
-        def create_sp():
-            response = yield from http.request("/sp/create", {"table": "gridmon"}, 120)
-            assert response.status == 200, response.body
-
-        sim.run_process(create_sp())
-
-    creation_span = connections * scale.creation_interval_rgma
-    measure_since = sim.now + creation_span + scale.warmup[1] + config.mediation_period + 4.0
-    stop_at = measure_since + scale.duration
-    fleet_config = FleetConfig(
-        n_generators=connections,
-        publish_interval=10.0,
-        creation_interval=scale.creation_interval_rgma,
-        warmup_min=scale.warmup[0],
-        warmup_max=scale.warmup[1],
-        duration=scale.duration,
-        stop_at=stop_at,
-        client_nodes=PUBLISH_NODES,
-        skip_warmup=skip_warmup,
-    )
-    from repro.scenario.compiler import arm_scenario, merge_fault_plan
-
-    fleet_config, compiled = arm_scenario(
-        scenario, measure_since, scale.duration, fleet_config
-    )
-    book = RecordBook()
-
-    # Two subscribers, each taking one publisher node's genid block via a
-    # WHERE clause (content-based filtering at the producers).
-    receivers: list[RgmaReceiver] = []
-    for k, node_name in enumerate(RECEIVE_NODES):
-        lo, hi = fleet_config.id_range(k)
-        if lo >= hi:
-            continue
-        receiver = RgmaReceiver(
-            sim,
-            cluster,
-            deployment,
-            node_name,
-            select_sql=f"SELECT * FROM gridmon WHERE genid >= {lo} AND genid < {hi}",
-            consumer_index=k,
-            producer_type="secondary" if secondary_producer else "primary",
-            poll_interval=config.poll_interval,
-        )
-        sim.run_process(receiver.start())
-        receivers.append(receiver)
-
-    fleet = RgmaFleet(sim, cluster, deployment, fleet_config, book)
-    fleet.start()
-
-    plan = (
-        fault_plan(measure_since, scale.duration)
-        if callable(fault_plan)
-        else fault_plan
-    )
-    plan = merge_fault_plan(compiled, plan)
-    if plan is not None and len(plan):
-        from repro.faults import FaultScheduler
-
-        FaultScheduler(sim, plan).attach(lan=cluster.lan, cluster=cluster)
-
-    # The SP path adds its deliberate delay to every message: extend the
-    # drain so republished tuples are observed.
-    extra_drain = config.secondary_producer_delay + 10.0 if secondary_producer else 0.0
-    sim.run(until=stop_at + scale.drain + extra_drain)
-    for vm in vmstats.values():
-        vm.stop()
-    for receiver in receivers:
-        receiver.stop()
-
-    stats = rtt_stats(book, since=measure_since)
-    if tel is not None:
-        tel.observe_run(
-            book,
-            middleware="rgma",
-            measure_since=measure_since,
-            label=f"rgma{'_dist' if distributed else ''}[{connections}]",
-        )
-    return RgmaRunResult(
-        connections=connections,
-        book=book,
-        measure_since=measure_since,
-        vmstat={
-            n: steady_state_summary(vm, measure_since) for n, vm in vmstats.items()
-        },
-        oom=fleet.stats.connections_refused > 0,
-        refused=fleet.stats.connections_refused,
-        sent=stats.sent,
-        received=stats.count,
-        mean_rtt_ms=stats.mean_ms,
-        stddev_rtt_ms=stats.stddev_ms,
-        loss_rate=stats.loss_rate,
-        rtts=book.rtts(since=measure_since),
-        duplicates=sum(r.duplicates for r in receivers),
+    return run_leg(
+        build,
+        RgmaRunResult,
+        middleware="rgma",
+        label=f"rgma{'_dist' if distributed else ''}[{connections}]",
+        scale=scale,
+        seed=seed,
+        fault_plan=fault_plan,
+        scenario=scenario,
+        # The SP path adds its deliberate delay to every message: extend the
+        # drain so republished tuples are observed.
+        extra_drain=config.secondary_producer_delay + 10.0 if secondary_producer else 0.0,
     )
 
 
@@ -212,18 +167,12 @@ def run_scaling_sweep(
     seed: int = 1,
     jobs: int = 1,
 ) -> dict[int, RgmaRunResult]:
-    from repro.harness.parallel import map_points
+    from repro.harness.parallel import sweep
 
-    results = map_points(
-        __name__,
-        "rgma_run",
-        [
-            dict(connections=n, distributed=distributed, scale=scale, seed=seed)
-            for n in connections
-        ],
-        jobs=jobs,
+    return sweep(
+        __name__, "rgma_run", "connections", connections, jobs,
+        distributed=distributed, scale=scale, seed=seed,
     )
-    return dict(zip(connections, results))
 
 
 def fig11(
@@ -252,8 +201,6 @@ def fig11(
             continue
         result.add_point("RTT2", n, run.mean_rtt_ms)
         result.add_point("STDDEV2", n, run.stddev_rtt_ms)
-    import numpy as np
-
     biggest = max((n for n, r in single.items() if not r.oom), default=None)
     if biggest is not None:
         frac = float((single[biggest].rtts <= 4.0).mean())

@@ -161,80 +161,28 @@ def _comparison_runs(scale: Scale, seed: int):
     )
 
 
-def _narada_single(scale: Scale, seed: int):
+#: The cached connection sweeps several figures share: sweep kind ->
+#: (experiment module, connection counts, the leg's topology argument).
+_SWEEPS = {
+    "narada_single": (narada_experiments, narada_experiments.SINGLE_SWEEP, dict(dbn=False)),
+    "narada_dbn": (narada_experiments, narada_experiments.DBN_SWEEP, dict(dbn=True)),
+    "rgma_single": (
+        rgma_experiments, rgma_experiments.SINGLE_SWEEP, dict(distributed=False)
+    ),
+    "rgma_distributed": (
+        rgma_experiments, rgma_experiments.DISTRIBUTED_SWEEP, dict(distributed=True)
+    ),
+    "plog_single": (plog_experiments, plog_experiments.SINGLE_SWEEP, dict(n_brokers=1)),
+    "plog_spread": (plog_experiments, plog_experiments.SPREAD_SWEEP, dict(n_brokers=4)),
+}
+
+
+def _sweep(kind: str, scale: Scale, seed: int):
+    module, connections, topology = _SWEEPS[kind]
     return _cached(
-        ("narada_single", scale.cache_key(), seed),
-        lambda: narada_experiments.run_scaling_sweep(
-            narada_experiments.SINGLE_SWEEP,
-            dbn=False,
-            scale=scale,
-            seed=seed,
-            jobs=_jobs,
-        ),
-    )
-
-
-def _narada_dbn(scale: Scale, seed: int):
-    return _cached(
-        ("narada_dbn", scale.cache_key(), seed),
-        lambda: narada_experiments.run_scaling_sweep(
-            narada_experiments.DBN_SWEEP,
-            dbn=True,
-            scale=scale,
-            seed=seed,
-            jobs=_jobs,
-        ),
-    )
-
-
-def _rgma_single(scale: Scale, seed: int):
-    return _cached(
-        ("rgma_single", scale.cache_key(), seed),
-        lambda: rgma_experiments.run_scaling_sweep(
-            rgma_experiments.SINGLE_SWEEP,
-            distributed=False,
-            scale=scale,
-            seed=seed,
-            jobs=_jobs,
-        ),
-    )
-
-
-def _rgma_distributed(scale: Scale, seed: int):
-    return _cached(
-        ("rgma_distributed", scale.cache_key(), seed),
-        lambda: rgma_experiments.run_scaling_sweep(
-            rgma_experiments.DISTRIBUTED_SWEEP,
-            distributed=True,
-            scale=scale,
-            seed=seed,
-            jobs=_jobs,
-        ),
-    )
-
-
-def _plog_single(scale: Scale, seed: int):
-    return _cached(
-        ("plog_single", scale.cache_key(), seed),
-        lambda: plog_experiments.run_scaling_sweep(
-            plog_experiments.SINGLE_SWEEP,
-            n_brokers=1,
-            scale=scale,
-            seed=seed,
-            jobs=_jobs,
-        ),
-    )
-
-
-def _plog_spread(scale: Scale, seed: int):
-    return _cached(
-        ("plog_spread", scale.cache_key(), seed),
-        lambda: plog_experiments.run_scaling_sweep(
-            plog_experiments.SPREAD_SWEEP,
-            n_brokers=4,
-            scale=scale,
-            seed=seed,
-            jobs=_jobs,
+        (kind, scale.cache_key(), seed),
+        lambda: module.run_scaling_sweep(
+            connections, scale=scale, seed=seed, jobs=_jobs, **topology
         ),
     )
 
@@ -270,14 +218,6 @@ def _federation_leg(scale: Scale, seed: int, routing: str):
             counts, routing, scale=scale, seed=seed, jobs=_jobs
         ),
     )
-
-
-def _federation_routed(scale: Scale, seed: int):
-    return _federation_leg(scale, seed, "routed")
-
-
-def _federation_broadcast(scale: Scale, seed: int):
-    return _federation_leg(scale, seed, "broadcast")
 
 
 def _edge_points(scale: Scale) -> tuple[tuple[int, int], ...]:
@@ -365,10 +305,10 @@ def _losses(scale: Scale, seed: int) -> ExperimentResult:
 
 def _table3(scale: Scale, seed: int) -> ExperimentResult:
     comparison = _comparison_runs(scale, seed)
-    narada_single = _narada_single(scale, seed)
-    narada_dbn = _narada_dbn(scale, seed)
-    rgma_single = _rgma_single(scale, seed)
-    rgma_dist = _rgma_distributed(scale, seed)
+    narada_single = _sweep("narada_single", scale, seed)
+    narada_dbn = _sweep("narada_dbn", scale, seed)
+    rgma_single = _sweep("rgma_single", scale, seed)
+    rgma_dist = _sweep("rgma_distributed", scale, seed)
 
     def max_ok(sweep, extra_ok=lambda run: True):
         ok = [n for n, r in sweep.items() if not r.oom and extra_ok(r)]
@@ -438,12 +378,12 @@ def _table3(scale: Scale, seed: int) -> ExperimentResult:
 
 def _plog_scaling(scale: Scale, seed: int) -> ExperimentResult:
     return plog_experiments.plog_scaling(
-        _plog_single(scale, seed), _plog_spread(scale, seed)
+        _sweep("plog_single", scale, seed), _sweep("plog_spread", scale, seed)
     )
 
 
 def _plog_percentiles(scale: Scale, seed: int) -> ExperimentResult:
-    return plog_experiments.plog_percentiles(_plog_single(scale, seed))
+    return plog_experiments.plog_percentiles(_sweep("plog_single", scale, seed))
 
 
 def _fig15_threeway(scale: Scale, seed: int) -> ExperimentResult:
@@ -458,7 +398,8 @@ def _fig15_federation(scale: Scale, seed: int) -> ExperimentResult:
 
 def _federation_scaling(scale: Scale, seed: int) -> ExperimentResult:
     return federation_experiments.federation_scaling(
-        _federation_routed(scale, seed), _federation_broadcast(scale, seed)
+        _federation_leg(scale, seed, "routed"),
+        _federation_leg(scale, seed, "broadcast"),
     )
 
 
@@ -518,8 +459,8 @@ def _table3_extended(scale: Scale, seed: int) -> ExperimentResult:
     base = _table3(scale, seed)
     narada = base.meta["narada"]
     rgma = base.meta["rgma"]
-    single = _plog_single(scale, seed)
-    spread = _plog_spread(scale, seed)
+    single = _sweep("plog_single", scale, seed)
+    spread = _sweep("plog_spread", scale, seed)
 
     def max_ok(sweep):
         ok = [n for n, r in sweep.items() if not r.oom and r.compliant]
@@ -725,19 +666,23 @@ def _fig4(scale: Scale, seed: int) -> ExperimentResult:
 
 
 def _fig6(scale: Scale, seed: int) -> ExperimentResult:
-    return narada_experiments.fig6(_narada_single(scale, seed), _narada_dbn(scale, seed))
+    return narada_experiments.fig6(
+        _sweep("narada_single", scale, seed), _sweep("narada_dbn", scale, seed)
+    )
 
 
 def _fig7(scale: Scale, seed: int) -> ExperimentResult:
-    return narada_experiments.fig7(_narada_single(scale, seed), _narada_dbn(scale, seed))
+    return narada_experiments.fig7(
+        _sweep("narada_single", scale, seed), _sweep("narada_dbn", scale, seed)
+    )
 
 
 def _fig8(scale: Scale, seed: int) -> ExperimentResult:
-    return narada_experiments.fig8(_narada_single(scale, seed))
+    return narada_experiments.fig8(_sweep("narada_single", scale, seed))
 
 
 def _fig9(scale: Scale, seed: int) -> ExperimentResult:
-    return narada_experiments.fig9(_narada_dbn(scale, seed))
+    return narada_experiments.fig9(_sweep("narada_dbn", scale, seed))
 
 
 def _fig10(scale: Scale, seed: int) -> ExperimentResult:
@@ -745,19 +690,23 @@ def _fig10(scale: Scale, seed: int) -> ExperimentResult:
 
 
 def _fig11(scale: Scale, seed: int) -> ExperimentResult:
-    return rgma_experiments.fig11(_rgma_single(scale, seed), _rgma_distributed(scale, seed))
+    return rgma_experiments.fig11(
+        _sweep("rgma_single", scale, seed), _sweep("rgma_distributed", scale, seed)
+    )
 
 
 def _fig12(scale: Scale, seed: int) -> ExperimentResult:
-    return rgma_experiments.fig12(_rgma_single(scale, seed))
+    return rgma_experiments.fig12(_sweep("rgma_single", scale, seed))
 
 
 def _fig13(scale: Scale, seed: int) -> ExperimentResult:
-    return rgma_experiments.fig13(_rgma_single(scale, seed), _rgma_distributed(scale, seed))
+    return rgma_experiments.fig13(
+        _sweep("rgma_single", scale, seed), _sweep("rgma_distributed", scale, seed)
+    )
 
 
 def _fig14(scale: Scale, seed: int) -> ExperimentResult:
-    return rgma_experiments.fig14(_rgma_distributed(scale, seed))
+    return rgma_experiments.fig14(_sweep("rgma_distributed", scale, seed))
 
 
 def _fig15(scale: Scale, seed: int) -> ExperimentResult:
@@ -807,8 +756,6 @@ def _ablation_dbn_routing(scale: Scale, seed: int) -> ExperimentResult:
 
 def _ablation_udp_ack(scale: Scale, seed: int) -> ExperimentResult:
     """Per-message transport acking is what ruins JMS-over-UDP."""
-    from repro.transport import UdpTransport
-
     result = ExperimentResult(
         "ablation_udp_ack",
         "UDP with and without the JMS acknowledgement protocol",
@@ -819,28 +766,12 @@ def _ablation_udp_ack(scale: Scale, seed: int) -> ExperimentResult:
     runs = _comparison_runs(scale, seed)
     acked = runs["UDP"]
     rows.append(["acked (JMS requires it)", acked.mean_rtt_ms, f"{acked.loss_rate:.3%}"])
-    # Raw datagrams: same loss probability, no ack/retransmit.
-    import repro.harness.narada_experiments as ne
-
-    original = ne._make_transport
-
-    def raw_udp(kind, sim, lan):
-        if kind == "udp":
-            return UdpTransport(
-                sim, lan, loss_probability=0.03, acked=False, rto=0.15, max_retries=0
-            )
-        return original(kind, sim, lan)
-
-    ne._make_transport = raw_udp
-    try:
-        raw = ne.narada_run(
-            narada_experiments.COMPARISON_CONNECTIONS,
-            transport_kind="udp",
-            scale=scale,
-            seed=seed,
-        )
-    finally:
-        ne._make_transport = original
+    raw = narada_experiments.narada_run(
+        narada_experiments.COMPARISON_CONNECTIONS,
+        transport_kind="udp_raw",
+        scale=scale,
+        seed=seed,
+    )
     rows.append(["raw (no ack)", raw.mean_rtt_ms, f"{raw.loss_rate:.3%}"])
     result.table = (["mode", "RTT (ms)", "loss rate"], rows)
     result.note(

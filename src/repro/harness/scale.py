@@ -9,7 +9,7 @@ untouched at either scale — they are the experiments' independent variable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

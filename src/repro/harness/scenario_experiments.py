@@ -82,7 +82,7 @@ def _score(
     return LegOutcome(
         score=score,
         rtts=run.rtts,
-        fault_log=list(getattr(run, "fault_log", ())),
+        fault_log=list(run.fault_log),
     )
 
 

@@ -181,8 +181,8 @@ class Telemetry:
     ) -> list[Span]:
         """Bind a finished run's record book into spans and roll up metrics.
 
-        Called by the harness run functions (``narada_run`` / ``rgma_run``
-        / ``plog_run``) when a session is active.  Endpoint phases derive
+        Called by :func:`repro.harness.leg.run_leg` for every harness leg
+        when a session is active.  Endpoint phases derive
         from the record book — the same data every paper metric uses — so
         span-based analyses agree exactly with the record-based ones.
         """

@@ -5,6 +5,8 @@ acks=all zero-duplicate guarantee."""
 import pytest
 
 from repro.harness import runner, scenario_experiments
+from repro.harness.edge_experiments import EDGE_MIDDLEWARES
+from repro.harness.scale import Scale
 from repro.scenario import SCENARIOS
 
 
@@ -52,6 +54,21 @@ def test_default_scenarios_are_in_the_library():
         assert default in SCENARIOS
     for name, template in SCENARIOS.items():
         assert template(0.0, 1.0).name == name
+
+
+@pytest.mark.parametrize(
+    "leg, middleware",
+    [("threeway_leg", m) for m in scenario_experiments.THREEWAY_LEGS]
+    + [("edge_leg", m) for m in EDGE_MIDDLEWARES],
+)
+def test_every_leg_reports_its_fault_log(leg, middleware):
+    """cascading_trip partitions client regions on every leg, so every leg's
+    outcome carries the fault log its scorecard notes are rendered from."""
+    size = dict(connections=40) if leg == "threeway_leg" else dict(n_clients=100)
+    outcome = getattr(scenario_experiments, leg)(
+        middleware, "cascading_trip", scale=Scale.named("smoke"), **size
+    )
+    assert outcome.fault_log
 
 
 @pytest.mark.slow
