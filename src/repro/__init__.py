@@ -11,7 +11,7 @@ every figure and table in the paper's evaluation.
 Quickstart::
 
     from repro.harness import runner
-    result = runner.run("fig7", scale=0.25)
+    result = runner.run("fig7", scale="smoke")
     print(result.render())
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the

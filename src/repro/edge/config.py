@@ -1,9 +1,9 @@
 """Gateway-tier tunables.
 
-One frozen dataclass so sweep-cache keys can fold the whole configuration
-(:meth:`EdgeConfig.cache_key`) the way ``FederationParams`` does — a sweep
-point run with a different gateway topology or budget must never satisfy a
-lookup for another.
+One frozen dataclass, so a sweep called with an ``EdgeConfig`` is keyed by
+all of its fields: the runner's sweep cache takes frozen dataclasses into
+its keys as themselves (see :mod:`repro.harness.cache`), and a sweep run
+with a different gateway budget never satisfies a lookup for another.
 """
 
 from __future__ import annotations
@@ -46,20 +46,3 @@ class EdgeConfig:
     #: per poll request handled.
     cpu_per_event: float = 20e-6
     cpu_per_poll: float = 30e-6
-
-    def cache_key(self) -> tuple:
-        return (
-            self.long_poll_timeout,
-            self.poll_request_bytes,
-            self.event_bytes,
-            self.replay_capacity,
-            self.parked_heap_bytes,
-            self.shed_heap_fraction,
-            self.max_events_per_poll,
-            self.retry_after,
-            self.retry_after_jitter,
-            self.catch_up_margin,
-            self.heap_bytes,
-            self.cpu_per_event,
-            self.cpu_per_poll,
-        )

@@ -27,9 +27,9 @@ def broker_name(index: int) -> str:
 class FederationParams:
     """The knobs that define a federation run's topology and routing mode.
 
-    ``cache_key()`` is folded into every sweep-cache key (both tiers) so a
-    cached broadcast-mode sweep can never satisfy a routed-mode lookup, and
-    trees of different shape never alias (see ``repro.harness.cache``).
+    Frozen, so it can enter a sweep-cache key as itself: the key rule
+    (see :mod:`repro.harness.cache`) keys a sweep by every argument it is
+    called with, and a dataclass's ``repr`` names every field.
     """
 
     fanout: int = 2
@@ -44,9 +44,6 @@ class FederationParams:
             raise ValueError("depth must be >= 1")
         if self.routing not in ("routed", "broadcast"):
             raise ValueError(f"unknown routing mode {self.routing!r}")
-
-    def cache_key(self) -> tuple:
-        return ("federation_params", self.depth, self.fanout, self.routing)
 
     @property
     def broker_count(self) -> int:

@@ -18,6 +18,5 @@ out-of-memory walls are the phenomena under study.
 """
 
 from repro.harness.scale import Scale
-from repro.harness.runner import run, EXPERIMENT_IDS
 
-__all__ = ["EXPERIMENT_IDS", "Scale", "run"]
+__all__ = ["Scale"]

@@ -1,19 +1,18 @@
 """Content-addressed on-disk tier for the sweep cache.
 
-Sweeps are pure functions of ``(kind, scale, seed, fault plan)`` — and of
-the code that computes them.  Sweep kinds with extra shape parameters fold
-them into the key: federation sweeps carry one ``(broker_count,
-FederationParams.cache_key())`` pair per point — depth, fan-out and routing
-mode — so a cached broadcast-mode sweep can never satisfy a routed-mode
-lookup and trees of different shape never alias.  Fleet sweeps fold
-``(n, middleware, mode, cohort_size, service-model key)`` per point the
-same way, so an aggregate-mode entry can never satisfy a per-process
-lookup, a different cohort partition never aliases, and recalibrating a
-service model invalidates its sweeps.  The disk tier therefore keys every entry by
-those inputs **plus a code-version salt**: a digest over every ``*.py``
-file under ``src/repro``.  Editing any source file changes the salt, so a
-stale cache can never satisfy a lookup from newer code; there is nothing
-to remember to invalidate.
+A sweep is a pure function of the arguments its builder is called with —
+and of the code that computes it.  The runner keys every entry by one rule
+(``repro.harness.runner._entry_key``): the builder's module and qualified
+name plus every argument it binds, except ``jobs``.  Connection counts,
+topology and routing, fleet mode, middleware, edge points, scenario name
+and fault plan are all builder arguments, so each namespaces the cache by
+itself; a frozen dataclass such as ``Scale`` enters as itself, and its
+``repr`` names every field.  What a builder reads from module constants
+(``EdgeConfig()`` defaults, service models, the scenario library) is source
+code, so the disk tier adds **a code-version salt**: a digest over every
+``*.py`` file under ``src/repro``.  Editing any source file changes the
+salt, so a stale cache can never satisfy a lookup from newer code; there
+is nothing to remember to invalidate.
 
 Entries live under ``$REPRO_CACHE_DIR`` (default ``.repro-cache/`` in the
 working directory) as pickle files named by the SHA-256 of their key.

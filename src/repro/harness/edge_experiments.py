@@ -74,21 +74,6 @@ NARADA_PORT = 5045
 CLIENT_NODES = ("ec0", "ec1", "ec2", "ec3")
 
 
-def sweep_cache_key(
-    points: tuple[tuple[int, int], ...],
-    middleware: str,
-    config: Optional[EdgeConfig] = None,
-) -> tuple:
-    """The topology half of an edge sweep-cache key.
-
-    One ``(clients, gateways, middleware, EdgeConfig.cache_key())`` tuple
-    per point, so a cached narada sweep never satisfies a plog lookup and
-    a re-tuned gateway config invalidates cleanly (the FederationParams
-    contract, applied to the client edge)."""
-    cfg = (config or EdgeConfig()).cache_key()
-    return tuple((c, g, middleware, cfg) for c, g in points)
-
-
 @dataclass(kw_only=True)
 class EdgeRunResult(LegResult):
     """Everything one edge run produces."""

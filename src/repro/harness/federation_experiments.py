@@ -30,7 +30,6 @@ from repro.core import ExperimentResult, RecordBook
 from repro.federation import (
     FederationController,
     FederationDeployment,
-    FederationParams,
     FederationSitePublishers,
     FederationSubscriber,
     TreeTopology,
@@ -56,32 +55,6 @@ PUBLISHERS_PER_BROKER = 6
 PUBLISH_INTERVAL = 3.0
 
 FANOUT = 2
-
-
-def params_for(n_brokers: int, fanout: int, routing: str) -> FederationParams:
-    """The :class:`FederationParams` describing one sweep point.
-
-    Depth is derived from the (possibly left-packed) tree the point builds,
-    so ``cache_key()`` carries (depth, fanout, routing) as the sweep-cache
-    contract requires.
-    """
-    depth = TreeTopology(n_brokers, fanout).depth
-    return FederationParams(fanout=fanout, depth=depth, routing=routing)
-
-
-def sweep_cache_key(
-    broker_counts: tuple[int, ...], fanout: int, routing: str
-) -> tuple:
-    """The topology half of a federation sweep-cache key.
-
-    One ``(n, FederationParams.cache_key())`` pair per point: broker count
-    disambiguates left-packed trees of equal depth, the params tuple folds
-    in depth, fan-out and routing mode — so a cached broadcast-mode sweep
-    can never satisfy a routed-mode lookup (see ``repro.harness.cache``).
-    """
-    return tuple(
-        (n, params_for(n, fanout, routing).cache_key()) for n in broker_counts
-    )
 
 
 @dataclass(kw_only=True)

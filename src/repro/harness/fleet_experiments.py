@@ -23,7 +23,6 @@ from repro.harness.scale import Scale
 from repro.powergrid.fleet_engine import (
     DEFAULT_COHORT_SIZE,
     FLEET_MIDDLEWARES,
-    SERVICE_MODELS,
     FleetOutcome,
     FleetRunParams,
     run_fleet_point,
@@ -53,26 +52,6 @@ def sweep_points(scale: Scale, mode: str) -> tuple[int, ...]:
     """Publisher counts for one sweep leg (same at every scale preset —
     the preset moves the per-point duration, not the axis)."""
     return FLEET_SWEEP if mode == "aggregate" else PROCESS_SWEEP
-
-
-def sweep_cache_key(
-    points: tuple[int, ...],
-    middleware: str,
-    mode: str,
-    cohort_size: int,
-) -> tuple:
-    """The cohort/aggregation half of a fleet sweep-cache key.
-
-    One ``(n, middleware, mode, cohort_size, service-model key)`` tuple per
-    point, so an aggregate-mode entry can never satisfy a per-process
-    lookup, a different cohort partition never aliases, and recalibrating a
-    service model invalidates its cached sweeps (same contract as the
-    federation topology folding — see ``repro.harness.cache``).
-    """
-    model_key = SERVICE_MODELS[middleware].cache_key()
-    return tuple(
-        (n, middleware, mode, cohort_size, model_key) for n in points
-    )
 
 
 def run_fleet_sweep(
@@ -182,8 +161,7 @@ def fleet_scaling(
     result.meta["agreement"] = agreement
     result.meta["zoom_ok"] = zoom_ok
     result.meta["params"] = {
-        n: FleetRunParams.from_scale(scale, n).cache_key()
-        for n in FLEET_SWEEP
+        n: FleetRunParams.from_scale(scale, n) for n in FLEET_SWEEP
     }
     for mw, speedup in sorted(speedups.items()):
         n = max(set(aggregate.get(mw, {})) & set(process.get(mw, {})))

@@ -2,19 +2,19 @@
 
 Several figures share the same underlying sweeps (Figs 6, 7, 8, 9 all read
 the Narada scaling runs; Figs 11-14 the R-GMA ones; the plog figures the
-partitioned-log ones), so sweeps are cached per (kind, scale, seed) — in
-two tiers:
+partitioned-log ones), so every sweep goes through :func:`_cached`, which
+keys it by one rule (:func:`_entry_key`): the function that builds it plus
+the arguments it is called with.  The cache has two tiers:
 
 * an in-process LRU (``SWEEP_CACHE_MAX`` entries; sweeps hold whole record
   books, so an unbounded cache would grow without limit when many
   (scale, seed) combinations run in one process, e.g. a benchmark
   session);
 * a content-addressed on-disk tier (:mod:`repro.harness.cache`) keyed by
-  the same inputs plus the active fault plan and a code-version salt, so
-  re-running a figure in a fresh process skips the sweep entirely.  The
-  disk tier is bypassed while a telemetry session is active — a sweep
-  loaded from disk carries no live spans, and ``--trace`` must see real
-  ones.
+  the same key plus a code-version salt, so re-running a figure in a fresh
+  process skips the sweep entirely.  The disk tier is bypassed while a
+  telemetry session is active — a sweep loaded from disk carries no live
+  spans, and ``--trace`` must see real ones.
 
 ``--no-cache`` disables both tiers; :func:`clear_cache` empties both.
 Sweep points fan out over a process pool when ``--jobs``/``$REPRO_JOBS``
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import os
 import sys
@@ -53,8 +54,9 @@ from repro.harness.scale import Scale
 from repro.scenario import SCENARIOS
 from repro.telemetry import context as tel_context
 
-#: Max cached sweeps.  There are ~7 sweep kinds, so one (scale, seed)
-#: combination fits entirely; older entries evict LRU-first beyond that.
+#: Max cached sweeps.  An ``all`` run creates 19 entries per (scale, seed) —
+#: 1 comparison, 6 connection sweeps, 2 federation, 6 fleet, 2 edge and 2
+#: scenario — so they do not all fit; older entries evict LRU-first.
 SWEEP_CACHE_MAX = 8
 
 _sweep_cache: "OrderedDict[tuple, Any]" = OrderedDict()
@@ -66,74 +68,93 @@ _sweep_cache: "OrderedDict[tuple, Any]" = OrderedDict()
 #: (whose spans it does not hold).
 _session_tokens = itertools.count(1)
 
-
-def _cache_context() -> tuple:
-    """Context folded into every sweep-cache key.
-
-    A sweep built under an active fault plan or scenario must never satisfy
-    a later plain lookup (or vice versa), and a sweep built outside a
-    telemetry session carries no spans — so the active fault plan, the
-    active scenario and the identity of the active telemetry session are
-    part of the key.  ``run()`` maintains the plan/scenario halves via
-    :data:`_active_fault_plan` / :data:`_active_scenario`.
-    """
-    tel = tel_context.current()
-    if tel is None:
-        return (_active_fault_plan, _active_scenario, None)
-    token = getattr(tel, "_sweep_cache_token", None)
-    if token is None:
-        token = next(_session_tokens)
-        tel._sweep_cache_token = token
-    return (_active_fault_plan, _active_scenario, token)
-
-
-_active_fault_plan: Optional[str] = None
-
-#: Scenario name the current ``run()`` call armed (scenario experiments).
-_active_scenario: Optional[str] = None
-
-#: Worker count sweep builders pass to ``run_scaling_sweep`` (set per call
-#: by :func:`run`, the way ``_active_fault_plan`` is).
+#: Worker count sweep builders are called with (set per call by :func:`run`).
 _jobs: int = 1
 
 #: ``--no-cache`` switch: False bypasses both cache tiers entirely.
 _cache_enabled: bool = True
 
 
-def _disk_key(key: tuple) -> tuple:
-    """The on-disk key: the sweep key plus the active fault plan/scenario.
+def _session_token() -> Optional[int]:
+    """The active telemetry session's token, or ``None`` outside a session.
 
-    A sweep built under a fault plan or scenario must be namespaced away
-    from the plain entry even across processes.  (The telemetry part of
-    :func:`_cache_context` is deliberately absent: the disk tier is
-    skipped outright while a session is active.)
+    A sweep built outside a session carries no spans, and one built inside
+    a session holds that session's spans, so the token is part of every
+    memory-tier key.
     """
-    return key + (_active_fault_plan, _active_scenario)
+    tel = tel_context.current()
+    if tel is None:
+        return None
+    token = getattr(tel, "_sweep_cache_token", None)
+    if token is None:
+        token = tel._sweep_cache_token = next(_session_tokens)
+    return token
 
 
-def _cached(key: tuple, builder: Callable[[], Any]) -> Any:
+def _check_key_part(value: Any) -> None:
+    """Raise ``TypeError`` unless ``value``'s ``repr`` is a stable key.
+
+    A ``repr`` holding a memory address would differ in every process, so
+    the disk tier would quietly never hit.
+    """
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return
+    if isinstance(value, tuple):
+        for item in value:
+            _check_key_part(item)
+        return
+    if (
+        dataclasses.is_dataclass(value)
+        and not isinstance(value, type)
+        and value.__dataclass_params__.frozen
+    ):
+        for f in dataclasses.fields(value):
+            _check_key_part(getattr(value, f.name))
+        return
+    raise TypeError(
+        f"cannot key a cached sweep on {type(value).__name__} {value!r}: "
+        "pass None, bool, int, float, str, a tuple of those or a frozen dataclass"
+    )
+
+
+def _entry_key(builder: Callable[..., Any], *args: Any, **kwargs: Any) -> tuple:
+    """The cache key of ``builder(*args, **kwargs)``.
+
+    The builder's module and qualified name, its positional arguments, then
+    its keyword arguments sorted by name — except ``jobs``, which changes
+    how a sweep runs but never what it returns.  Frozen dataclasses such
+    as :class:`Scale` enter as themselves: their ``repr`` names every
+    field.  Module constants a builder reads are source code, which the
+    disk tier's code salt covers.
+    """
+    arguments = args + tuple(sorted((k, v) for k, v in kwargs.items() if k != "jobs"))
+    _check_key_part(arguments)
+    return (builder.__module__, builder.__qualname__) + arguments
+
+
+def _cached(builder: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``builder(*args, **kwargs)``, served from either cache tier if it can be."""
+    key = _entry_key(builder, *args, **kwargs)
     if not _cache_enabled:
-        return builder()
-    mem_key = key + _cache_context()
+        return builder(*args, **kwargs)
+    token = _session_token()
+    mem_key = key + (token,)
     if mem_key in _sweep_cache:
         _sweep_cache.move_to_end(mem_key)
         return _sweep_cache[mem_key]
     # The disk tier only serves sessionless lookups: entries carry record
     # books but no spans, and an active --trace session must observe live
     # runs.  (Disk writes are skipped symmetrically so a traced run never
-    # seeds the cache with data an untraced run would then trust — they
-    # would be identical, but keeping the tiers' contexts aligned is what
-    # the fault-plan regression test pins down.)
-    disk: Optional[DiskCache] = None
-    if tel_context.current() is None:
-        disk = DiskCache()
-        value = disk.get(_disk_key(key))
+    # seeds the cache with data an untraced run would then trust.)
+    disk = DiskCache() if token is None else None
+    if disk is not None:
+        value = disk.get(key)
         if value is not None:
             _store_in_memory(mem_key, value)
             return value
-    value = builder()
+    value = builder(*args, **kwargs)
     if disk is not None:
-        disk.put(_disk_key(key), value)
+        disk.put(key, value)
     _store_in_memory(mem_key, value)
     return value
 
@@ -153,110 +174,78 @@ def clear_cache() -> None:
 # ------------------------------------------------------------ shared sweeps
 
 def _comparison_runs(scale: Scale, seed: int):
-    return _cached(
-        ("narada_comparison", scale.cache_key(), seed),
-        lambda: narada_experiments.run_comparison_tests(
-            scale=scale, seed=seed, jobs=_jobs
-        ),
-    )
+    return _cached(narada_experiments.run_comparison_tests, scale, seed, jobs=_jobs)
 
 
 #: The cached connection sweeps several figures share: sweep kind ->
-#: (experiment module, connection counts, the leg's topology argument).
+#: (experiment module, the name of its connection-count tuple, the leg's
+#: topology argument).  The counts are read when the sweep runs, so a
+#: patched module constant takes effect.
 _SWEEPS = {
-    "narada_single": (narada_experiments, narada_experiments.SINGLE_SWEEP, dict(dbn=False)),
-    "narada_dbn": (narada_experiments, narada_experiments.DBN_SWEEP, dict(dbn=True)),
-    "rgma_single": (
-        rgma_experiments, rgma_experiments.SINGLE_SWEEP, dict(distributed=False)
-    ),
-    "rgma_distributed": (
-        rgma_experiments, rgma_experiments.DISTRIBUTED_SWEEP, dict(distributed=True)
-    ),
-    "plog_single": (plog_experiments, plog_experiments.SINGLE_SWEEP, dict(n_brokers=1)),
-    "plog_spread": (plog_experiments, plog_experiments.SPREAD_SWEEP, dict(n_brokers=4)),
+    "narada_single": (narada_experiments, "SINGLE_SWEEP", dict(dbn=False)),
+    "narada_dbn": (narada_experiments, "DBN_SWEEP", dict(dbn=True)),
+    "rgma_single": (rgma_experiments, "SINGLE_SWEEP", dict(distributed=False)),
+    "rgma_distributed": (rgma_experiments, "DISTRIBUTED_SWEEP", dict(distributed=True)),
+    "plog_single": (plog_experiments, "SINGLE_SWEEP", dict(n_brokers=1)),
+    "plog_spread": (plog_experiments, "SPREAD_SWEEP", dict(n_brokers=4)),
 }
 
 
 def _sweep(kind: str, scale: Scale, seed: int):
-    module, connections, topology = _SWEEPS[kind]
+    module, counts, topology = _SWEEPS[kind]
     return _cached(
-        (kind, scale.cache_key(), seed),
-        lambda: module.run_scaling_sweep(
-            connections, scale=scale, seed=seed, jobs=_jobs, **topology
-        ),
+        module.run_scaling_sweep,
+        getattr(module, counts),
+        scale=scale,
+        seed=seed,
+        jobs=_jobs,
+        **topology,
     )
 
 
-def _federation_counts(scale: Scale) -> tuple[int, ...]:
-    return (
+def _from_sweeps(figure: Callable[..., ExperimentResult], *kinds: str):
+    """An experiment that renders ``figure`` from shared cached sweeps."""
+
+    def experiment(scale: Scale, seed: int) -> ExperimentResult:
+        return figure(*(_sweep(kind, scale, seed) for kind in kinds))
+
+    return experiment
+
+
+def _federation_leg(scale: Scale, seed: int, routing: str):
+    """One cached federation sweep leg (``"routed"`` or ``"broadcast"``)."""
+    counts = (
         federation_experiments.FEDERATION_SWEEP_FULL
         if scale.name == "full"
         else federation_experiments.FEDERATION_SWEEP
     )
+    return _cached(
+        federation_experiments.run_federation_sweep,
+        counts, routing, scale, seed, jobs=_jobs,
+    )
 
 
-def _federation_leg(scale: Scale, seed: int, routing: str):
-    """One cached federation sweep leg (``"routed"`` or ``"broadcast"``).
+def _fleet_sweep(scale: Scale, seed: int, middleware: str, mode: str):
+    """One cached fleet sweep leg (``"aggregate"`` or ``"process"``)."""
+    return _cached(
+        fleet_experiments.run_fleet_sweep,
+        fleet_experiments.sweep_points(scale, mode),
+        middleware, mode, scale, seed, jobs=_jobs,
+    )
 
-    The key folds in :func:`federation_experiments.sweep_cache_key` — one
-    ``(broker_count, FederationParams.cache_key())`` pair per point — so
-    topology (depth, fan-out) and routing mode namespace both cache tiers:
-    a cached broadcast-mode sweep can never satisfy a routed-mode lookup.
+
+def _scored(outcomes: Callable[..., Any], scorecard: Callable[..., ExperimentResult]):
+    """A scenario experiment whose scored legs are one cached sweep.
+
+    ``scenario``/``fault_plan`` pass through untouched: when they are not
+    given, the scenario module's own defaults apply.
     """
-    counts = _federation_counts(scale)
-    key = (
-        "federation",
-        federation_experiments.sweep_cache_key(
-            counts, federation_experiments.FANOUT, routing
-        ),
-        scale.cache_key(),
-        seed,
-    )
-    return _cached(
-        key,
-        lambda: federation_experiments.run_federation_sweep(
-            counts, routing, scale=scale, seed=seed, jobs=_jobs
-        ),
-    )
 
+    def experiment(scale: Scale, seed: int, **options: Any) -> ExperimentResult:
+        legs = _cached(outcomes, scale, seed, jobs=_jobs, **options)
+        return scorecard(scale, seed, outcomes=legs, **options)
 
-def _edge_points(scale: Scale) -> tuple[tuple[int, int], ...]:
-    return (
-        edge_experiments.EDGE_SWEEP_FULL
-        if scale.name == "full"
-        else edge_experiments.EDGE_SWEEP
-    )
-
-
-def _edge_sweep(scale: Scale, seed: int, middleware: str = "narada"):
-    """One cached edge sweep leg.
-
-    The key folds :func:`edge_experiments.sweep_cache_key` — one
-    ``(clients, gateways, middleware, EdgeConfig.cache_key())`` tuple per
-    point — so gateway topology and edge tuning namespace both cache tiers.
-    """
-    points = _edge_points(scale)
-    key = (
-        "edge",
-        edge_experiments.sweep_cache_key(points, middleware, None),
-        scale.cache_key(),
-        seed,
-    )
-    return _cached(
-        key,
-        lambda: edge_experiments.run_edge_sweep(
-            points, middleware, scale=scale, seed=seed, jobs=_jobs
-        ),
-    )
-
-
-def _edge_direct(scale: Scale, seed: int, middleware: str = "narada"):
-    return _cached(
-        ("edge_direct", middleware, scale.cache_key(), seed),
-        lambda: edge_experiments.direct_point(
-            middleware, scale=scale, seed=seed
-        ),
-    )
+    return experiment
 
 
 # ------------------------------------------------------- simple experiments
@@ -281,6 +270,14 @@ def _table1(scale: Scale, seed: int) -> ExperimentResult:
         "observed transfer rate 7-8 MB/s"
     )
     return result
+
+
+def _fig3(scale: Scale, seed: int) -> ExperimentResult:
+    return narada_experiments.fig3(_comparison_runs(scale, seed))
+
+
+def _fig4(scale: Scale, seed: int) -> ExperimentResult:
+    return narada_experiments.fig4(_comparison_runs(scale, seed))
 
 
 def _losses(scale: Scale, seed: int) -> ExperimentResult:
@@ -374,60 +371,10 @@ def _table3(scale: Scale, seed: int) -> ExperimentResult:
     return result
 
 
-# ------------------------------------------------- partitioned-log candidate
-
-def _plog_scaling(scale: Scale, seed: int) -> ExperimentResult:
-    return plog_experiments.plog_scaling(
-        _sweep("plog_single", scale, seed), _sweep("plog_spread", scale, seed)
-    )
-
-
-def _plog_percentiles(scale: Scale, seed: int) -> ExperimentResult:
-    return plog_experiments.plog_percentiles(_sweep("plog_single", scale, seed))
-
-
-def _fig15_threeway(scale: Scale, seed: int) -> ExperimentResult:
-    return decomposition.fig15_threeway(scale=scale, seed=seed)
-
-
-def _fig15_federation(scale: Scale, seed: int) -> ExperimentResult:
-    return decomposition.fig15_federation(scale=scale, seed=seed)
-
-
-# ------------------------------------------------------- federation overlay
-
 def _federation_scaling(scale: Scale, seed: int) -> ExperimentResult:
     return federation_experiments.federation_scaling(
         _federation_leg(scale, seed, "routed"),
         _federation_leg(scale, seed, "broadcast"),
-    )
-
-
-# ----------------------------------------------------- vectorized fleets
-
-def _fleet_sweep(scale: Scale, seed: int, middleware: str, mode: str):
-    """One cached fleet sweep leg (``"aggregate"`` or ``"process"``).
-
-    The key folds :func:`fleet_experiments.sweep_cache_key` — one
-    ``(n, middleware, mode, cohort_size, service-model key)`` tuple per
-    point — so an aggregate-mode entry can never satisfy a per-process
-    lookup in either cache tier (the cohort/aggregation analogue of the
-    federation topology folding).
-    """
-    points = fleet_experiments.sweep_points(scale, mode)
-    key = (
-        "fleet",
-        fleet_experiments.sweep_cache_key(
-            points, middleware, mode, fleet_experiments.COHORT_SIZE
-        ),
-        scale.cache_key(),
-        seed,
-    )
-    return _cached(
-        key,
-        lambda: fleet_experiments.run_fleet_sweep(
-            points, middleware, mode, scale=scale, seed=seed, jobs=_jobs
-        ),
     )
 
 
@@ -442,16 +389,17 @@ def _fleet_scaling(scale: Scale, seed: int) -> ExperimentResult:
     )
 
 
-# -------------------------------------------------------------- edge tier
-
 def _edge_scaling(scale: Scale, seed: int) -> ExperimentResult:
-    return edge_experiments.edge_scaling(
-        _edge_sweep(scale, seed), _edge_direct(scale, seed), "narada"
+    points = (
+        edge_experiments.EDGE_SWEEP_FULL
+        if scale.name == "full"
+        else edge_experiments.EDGE_SWEEP
     )
-
-
-def _fig15_edge(scale: Scale, seed: int) -> ExperimentResult:
-    return decomposition.fig15_edge(scale=scale, seed=seed)
+    return edge_experiments.edge_scaling(
+        _cached(edge_experiments.run_edge_sweep, points, "narada", scale, seed, jobs=_jobs),
+        _cached(edge_experiments.direct_point, "narada", scale=scale, seed=seed),
+        "narada",
+    )
 
 
 def _table3_extended(scale: Scale, seed: int) -> ExperimentResult:
@@ -502,219 +450,6 @@ def _table3_extended(scale: Scale, seed: int) -> ExperimentResult:
     result.meta["rgma"] = rgma
     result.meta["plog"] = plog
     return result
-
-
-# ------------------------------------------------------- chaos experiments
-
-#: Experiments that accept a ``fault_plan`` keyword (the ``--fault-plan``
-#: CLI flag is only forwarded to these).
-CHAOS_EXPERIMENTS = (
-    "chaos_threeway",
-    "chaos_durability",
-    "chaos_broker_failover",
-    "chaos_replication",
-    "chaos_adaptive_backoff",
-    "edge_gateway_crash",
-)
-
-#: Default plan per chaos experiment when ``--fault-plan`` is not given.
-_CHAOS_DEFAULT_PLAN = {
-    "chaos_threeway": "loss_burst",
-    "chaos_durability": "durability_gauntlet",
-    "chaos_broker_failover": "broker_outage",
-    "chaos_replication": "broker_outage",
-    "chaos_adaptive_backoff": "latency_spike",
-    "edge_gateway_crash": "gateway_outage",
-}
-
-
-def _chaos_threeway(
-    scale: Scale, seed: int, fault_plan: str = "loss_burst"
-) -> ExperimentResult:
-    return chaos_experiments.chaos_threeway(
-        scale=scale, seed=seed, fault_plan=fault_plan
-    )
-
-
-def _chaos_durability(
-    scale: Scale, seed: int, fault_plan: str = "durability_gauntlet"
-) -> ExperimentResult:
-    return chaos_experiments.chaos_durability(
-        scale=scale, seed=seed, fault_plan=fault_plan
-    )
-
-
-def _chaos_broker_failover(
-    scale: Scale, seed: int, fault_plan: str = "broker_outage"
-) -> ExperimentResult:
-    return chaos_experiments.chaos_broker_failover(
-        scale=scale, seed=seed, fault_plan=fault_plan
-    )
-
-
-def _chaos_replication(
-    scale: Scale, seed: int, fault_plan: str = "broker_outage"
-) -> ExperimentResult:
-    return chaos_experiments.chaos_replication(
-        scale=scale, seed=seed, fault_plan=fault_plan
-    )
-
-
-def _chaos_adaptive_backoff(
-    scale: Scale, seed: int, fault_plan: str = "latency_spike"
-) -> ExperimentResult:
-    return chaos_experiments.chaos_adaptive_backoff(
-        scale=scale, seed=seed, fault_plan=fault_plan
-    )
-
-
-def _edge_gateway_crash(
-    scale: Scale, seed: int, fault_plan: str = "gateway_outage"
-) -> ExperimentResult:
-    return edge_experiments.run_gateway_crash(
-        scale=scale, seed=seed, fault_plan=fault_plan
-    )
-
-
-# ----------------------------------------------------- scenario experiments
-
-#: Experiments that accept ``--scenario`` (and, like the chaos ones,
-#: ``--fault-plan`` — a scenario's own faults merge with the named plan).
-SCENARIO_EXPERIMENTS = ("scenario_threeway", "scenario_edge_storm")
-
-#: Default scenario per experiment when ``--scenario`` is not given.
-_SCENARIO_DEFAULT = {
-    "scenario_threeway": "storm_front",
-    "scenario_edge_storm": "alarm_storm",
-}
-
-
-def _scenario_threeway(
-    scale: Scale,
-    seed: int,
-    scenario: str = "storm_front",
-    fault_plan: Optional[str] = None,
-) -> ExperimentResult:
-    """Cached leg-set, then the scorecard.  The key folds the scenario's
-    *structure* (:func:`scenario_experiments.scenario_cache_key`) so library
-    edits invalidate cached legs; the active fault plan and scenario name
-    namespace both tiers via :func:`_cache_context`/:func:`_disk_key`."""
-    key = (
-        "scenario_threeway",
-        scenario_experiments.scenario_cache_key(scenario),
-        scale.cache_key(),
-        seed,
-    )
-    outcomes = _cached(
-        key,
-        lambda: scenario_experiments.threeway_outcomes(
-            scale=scale,
-            seed=seed,
-            scenario=scenario,
-            fault_plan=fault_plan,
-            jobs=_jobs,
-        ),
-    )
-    return scenario_experiments.scenario_threeway(
-        scale=scale,
-        seed=seed,
-        scenario=scenario,
-        fault_plan=fault_plan,
-        outcomes=outcomes,
-    )
-
-
-def _scenario_edge_storm(
-    scale: Scale,
-    seed: int,
-    scenario: str = "alarm_storm",
-    fault_plan: Optional[str] = None,
-) -> ExperimentResult:
-    key = (
-        "scenario_edge_storm",
-        scenario_experiments.scenario_cache_key(scenario),
-        scale.cache_key(),
-        seed,
-    )
-    outcomes = _cached(
-        key,
-        lambda: scenario_experiments.edge_outcomes(
-            scale=scale,
-            seed=seed,
-            scenario=scenario,
-            fault_plan=fault_plan,
-            jobs=_jobs,
-        ),
-    )
-    return scenario_experiments.scenario_edge_storm(
-        scale=scale,
-        seed=seed,
-        scenario=scenario,
-        fault_plan=fault_plan,
-        outcomes=outcomes,
-    )
-
-
-# -------------------------------------------------------------- experiments
-
-def _fig3(scale: Scale, seed: int) -> ExperimentResult:
-    return narada_experiments.fig3(_comparison_runs(scale, seed))
-
-
-def _fig4(scale: Scale, seed: int) -> ExperimentResult:
-    return narada_experiments.fig4(_comparison_runs(scale, seed))
-
-
-def _fig6(scale: Scale, seed: int) -> ExperimentResult:
-    return narada_experiments.fig6(
-        _sweep("narada_single", scale, seed), _sweep("narada_dbn", scale, seed)
-    )
-
-
-def _fig7(scale: Scale, seed: int) -> ExperimentResult:
-    return narada_experiments.fig7(
-        _sweep("narada_single", scale, seed), _sweep("narada_dbn", scale, seed)
-    )
-
-
-def _fig8(scale: Scale, seed: int) -> ExperimentResult:
-    return narada_experiments.fig8(_sweep("narada_single", scale, seed))
-
-
-def _fig9(scale: Scale, seed: int) -> ExperimentResult:
-    return narada_experiments.fig9(_sweep("narada_dbn", scale, seed))
-
-
-def _fig10(scale: Scale, seed: int) -> ExperimentResult:
-    return rgma_experiments.fig10(scale=scale, seed=seed)
-
-
-def _fig11(scale: Scale, seed: int) -> ExperimentResult:
-    return rgma_experiments.fig11(
-        _sweep("rgma_single", scale, seed), _sweep("rgma_distributed", scale, seed)
-    )
-
-
-def _fig12(scale: Scale, seed: int) -> ExperimentResult:
-    return rgma_experiments.fig12(_sweep("rgma_single", scale, seed))
-
-
-def _fig13(scale: Scale, seed: int) -> ExperimentResult:
-    return rgma_experiments.fig13(
-        _sweep("rgma_single", scale, seed), _sweep("rgma_distributed", scale, seed)
-    )
-
-
-def _fig14(scale: Scale, seed: int) -> ExperimentResult:
-    return rgma_experiments.fig14(_sweep("rgma_distributed", scale, seed))
-
-
-def _fig15(scale: Scale, seed: int) -> ExperimentResult:
-    return decomposition.fig15(scale=scale, seed=seed)
-
-
-def _warmup_loss(scale: Scale, seed: int) -> ExperimentResult:
-    return rgma_experiments.warmup_loss(scale=scale, seed=seed)
 
 
 # ---------------------------------------------------------------- ablations
@@ -1157,104 +892,168 @@ def _ablation_clock_skew(scale: Scale, seed: int) -> ExperimentResult:
     return result
 
 
-EXPERIMENTS: dict[str, Callable[[Scale, int], ExperimentResult]] = {
-    "table1": _table1,
-    "table2_fig3": _fig3,
-    "fig4": _fig4,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "fig9": _fig9,
-    "fig10": _fig10,
-    "fig11": _fig11,
-    "fig12": _fig12,
-    "fig13": _fig13,
-    "fig14": _fig14,
-    "fig15": _fig15,
-    "losses": _losses,
-    "rgma_warmup_loss": _warmup_loss,
-    "table3": _table3,
-    "table3_extended": _table3_extended,
-    "plog_scaling": _plog_scaling,
-    "plog_percentiles": _plog_percentiles,
-    "fig15_threeway": _fig15_threeway,
-    "fig15_federation": _fig15_federation,
-    "fig15_edge": _fig15_edge,
-    "federation_scaling": _federation_scaling,
-    "fleet_scaling": _fleet_scaling,
-    "edge_scaling": _edge_scaling,
-    "edge_gateway_crash": _edge_gateway_crash,
-    "chaos_threeway": _chaos_threeway,
-    "chaos_durability": _chaos_durability,
-    "chaos_broker_failover": _chaos_broker_failover,
-    "chaos_replication": _chaos_replication,
-    "chaos_adaptive_backoff": _chaos_adaptive_backoff,
-    "scenario_threeway": _scenario_threeway,
-    "scenario_edge_storm": _scenario_edge_storm,
-    "ablation_dbn_routing": _ablation_dbn_routing,
-    "ablation_udp_ack": _ablation_udp_ack,
-    "ablation_rgma_mediator": _ablation_rgma_mediator,
-    "ablation_aggregation": _ablation_aggregation,
-    "ablation_rgma_https": _ablation_rgma_https,
-    "ablation_web_services": _ablation_web_services,
-    "ablation_rgma_legacy_api": _ablation_rgma_legacy_api,
-    "ablation_clock_skew": _ablation_clock_skew,
+# --------------------------------------------------------- experiment table
+
+@dataclasses.dataclass(frozen=True)
+class Experiment:
+    """One registered experiment: what :func:`run` calls and ``--list`` shows."""
+
+    fn: Callable[..., ExperimentResult]
+    description: str
+    #: Keyword options ``fn`` accepts beyond scale and seed: ``fault_plan``
+    #: (``--fault-plan``) and ``scenario`` (``--scenario``).  Left out, the
+    #: experiment's own default applies.
+    options: tuple[str, ...] = ()
+
+
+_FAULTS = ("fault_plan",)
+_SCENARIO = ("fault_plan", "scenario")
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "table1": Experiment(_table1, "Table I: hardware specifications and software versions"),
+    "table2_fig3": Experiment(_fig3, "Table II / Fig 3: Narada comparison tests, RTT + STDDEV"),
+    "fig4": Experiment(_fig4, "Fig 4: Narada comparison tests, percentile of RTT"),
+    "fig6": Experiment(
+        _from_sweeps(narada_experiments.fig6, "narada_single", "narada_dbn"),
+        "Fig 6: Narada CPU idle and memory vs connections",
+    ),
+    "fig7": Experiment(
+        _from_sweeps(narada_experiments.fig7, "narada_single", "narada_dbn"),
+        "Fig 7: Narada RTT/STDDEV vs connections, single vs DBN",
+    ),
+    "fig8": Experiment(
+        _from_sweeps(narada_experiments.fig8, "narada_single"),
+        "Fig 8: Narada single-broker percentile of RTT",
+    ),
+    "fig9": Experiment(
+        _from_sweeps(narada_experiments.fig9, "narada_dbn"),
+        "Fig 9: Narada DBN percentile of RTT",
+    ),
+    "fig10": Experiment(rgma_experiments.fig10, "Fig 10: R-GMA percentile of RTT, light load"),
+    "fig11": Experiment(
+        _from_sweeps(rgma_experiments.fig11, "rgma_single", "rgma_distributed"),
+        "Fig 11: R-GMA RTT/STDDEV vs connections",
+    ),
+    "fig12": Experiment(
+        _from_sweeps(rgma_experiments.fig12, "rgma_single"),
+        "Fig 12: R-GMA single-server percentile of RTT",
+    ),
+    "fig13": Experiment(
+        _from_sweeps(rgma_experiments.fig13, "rgma_single", "rgma_distributed"),
+        "Fig 13: R-GMA CPU idle and memory vs connections",
+    ),
+    "fig14": Experiment(
+        _from_sweeps(rgma_experiments.fig14, "rgma_distributed"),
+        "Fig 14: R-GMA distributed percentile of RTT",
+    ),
+    "fig15": Experiment(
+        decomposition.fig15, "Fig 15: RTT decomposition (PRT/PT/SRT), R-GMA vs Narada"
+    ),
+    "losses": Experiment(_losses, "Message loss rates (§III.E.1 and §III.F)"),
+    "rgma_warmup_loss": Experiment(
+        rgma_experiments.warmup_loss, "R-GMA loss with and without the warm-up sleep"
+    ),
+    "table3": Experiment(_table3, "Table III: derived qualitative comparison"),
+    "table3_extended": Experiment(
+        _table3_extended, "Table III plus a partitioned-commit-log row"
+    ),
+    "plog_scaling": Experiment(
+        _from_sweeps(plog_experiments.plog_scaling, "plog_single", "plog_spread"),
+        "Partitioned log: RTT + §I SLA compliance to 16k connections",
+    ),
+    "plog_percentiles": Experiment(
+        _from_sweeps(plog_experiments.plog_percentiles, "plog_single"),
+        "Partitioned log: percentile of RTT per connection count",
+    ),
+    "fig15_threeway": Experiment(
+        decomposition.fig15_threeway, "RTT decomposition for R-GMA, Narada and the plog"
+    ),
+    "fig15_federation": Experiment(
+        decomposition.fig15_federation, "RTT decomposition on the federated broker tree"
+    ),
+    "fig15_edge": Experiment(
+        decomposition.fig15_edge, "RTT decomposition through the long-poll gateway hop"
+    ),
+    "federation_scaling": Experiment(
+        _federation_scaling, "Per-link traffic + RTT: routed tree vs broadcast DBN"
+    ),
+    "fleet_scaling": Experiment(
+        _fleet_scaling, "Vectorized cohort fleets: 10^3-10^6 publishers, 3 middlewares"
+    ),
+    "edge_scaling": Experiment(
+        _edge_scaling, "Edge tier: clients 10k+ pooled onto O(topics) connections"
+    ),
+    "edge_gateway_crash": Experiment(
+        edge_experiments.run_gateway_crash,
+        "Gateway crash: failover, ring replay, exactly-once",
+        _FAULTS,
+    ),
+    "chaos_threeway": Experiment(
+        chaos_experiments.chaos_threeway,
+        "All three middlewares under one deterministic fault plan",
+        _FAULTS,
+    ),
+    "chaos_durability": Experiment(
+        chaos_experiments.chaos_durability,
+        "Durable delivery parity: 0 loss AND 0 duplicates under faults",
+        _FAULTS,
+    ),
+    "chaos_broker_failover": Experiment(
+        chaos_experiments.chaos_broker_failover,
+        "Plog broker crash: one-shot vs retry vs failover vs RF=2",
+        _FAULTS,
+    ),
+    "chaos_replication": Experiment(
+        chaos_experiments.chaos_replication,
+        "Plog durability ladder under a broker crash: RF x acks",
+        _FAULTS,
+    ),
+    "chaos_adaptive_backoff": Experiment(
+        chaos_experiments.chaos_adaptive_backoff,
+        "Plog retry: fixed vs RTT-adaptive backoff",
+        _FAULTS,
+    ),
+    "scenario_threeway": Experiment(
+        _scored(scenario_experiments.threeway_outcomes, scenario_experiments.scenario_threeway),
+        "One grid scenario on all three middlewares, SLA scorecard",
+        _SCENARIO,
+    ),
+    "scenario_edge_storm": Experiment(
+        _scored(scenario_experiments.edge_outcomes, scenario_experiments.scenario_edge_storm),
+        "One grid scenario through the edge tier, SLA scorecard",
+        _SCENARIO,
+    ),
+    "ablation_dbn_routing": Experiment(
+        _ablation_dbn_routing, "DBN broadcast flaw vs subscription-aware routing"
+    ),
+    "ablation_udp_ack": Experiment(_ablation_udp_ack, "UDP with and without the JMS ack protocol"),
+    "ablation_rgma_mediator": Experiment(
+        _ablation_rgma_mediator, "R-GMA process time vs consumer per-tuple cost"
+    ),
+    "ablation_aggregation": Experiment(
+        _ablation_aggregation, "Message count vs byte volume at equal payload rate"
+    ),
+    "ablation_rgma_https": Experiment(_ablation_rgma_https, "R-GMA over HTTP vs HTTPS"),
+    "ablation_web_services": Experiment(
+        _ablation_web_services, "SOAP proxy publish vs native JMS (§III.D)"
+    ),
+    "ablation_rgma_legacy_api": Experiment(
+        _ablation_rgma_legacy_api, "Old Stream Producer API vs new PP pipeline"
+    ),
+    "ablation_clock_skew": Experiment(
+        _ablation_clock_skew, "Cross-node timestamp error vs clock discipline"
+    ),
 }
 
 EXPERIMENT_IDS = tuple(EXPERIMENTS)
 
-#: One-line description per experiment id (``--list``).
-DESCRIPTIONS: dict[str, str] = {
-    "table1": "Table I: hardware specifications and software versions",
-    "table2_fig3": "Table II / Fig 3: Narada comparison tests, RTT + STDDEV",
-    "fig4": "Fig 4: Narada comparison tests, percentile of RTT",
-    "fig6": "Fig 6: Narada CPU idle and memory vs connections",
-    "fig7": "Fig 7: Narada RTT/STDDEV vs connections, single vs DBN",
-    "fig8": "Fig 8: Narada single-broker percentile of RTT",
-    "fig9": "Fig 9: Narada DBN percentile of RTT",
-    "fig10": "Fig 10: R-GMA percentile of RTT, light load",
-    "fig11": "Fig 11: R-GMA RTT/STDDEV vs connections",
-    "fig12": "Fig 12: R-GMA single-server percentile of RTT",
-    "fig13": "Fig 13: R-GMA CPU idle and memory vs connections",
-    "fig14": "Fig 14: R-GMA distributed percentile of RTT",
-    "fig15": "Fig 15: RTT decomposition (PRT/PT/SRT), R-GMA vs Narada",
-    "losses": "Message loss rates (§III.E.1 and §III.F)",
-    "rgma_warmup_loss": "R-GMA loss with and without the warm-up sleep",
-    "table3": "Table III: derived qualitative comparison",
-    "table3_extended": "Table III plus a partitioned-commit-log row",
-    "plog_scaling": "Partitioned log: RTT + §I SLA compliance to 16k connections",
-    "plog_percentiles": "Partitioned log: percentile of RTT per connection count",
-    "fig15_threeway": "RTT decomposition for R-GMA, Narada and the plog",
-    "fig15_federation": "RTT decomposition on the federated broker tree",
-    "fig15_edge": "RTT decomposition through the long-poll gateway hop",
-    "federation_scaling": "Per-link traffic + RTT: routed tree vs broadcast DBN",
-    "fleet_scaling": "Vectorized cohort fleets: 10^3-10^6 publishers, 3 middlewares",
-    "edge_scaling": "Edge tier: clients 10k+ pooled onto O(topics) connections",
-    "edge_gateway_crash": "Gateway crash: failover, ring replay, exactly-once",
-    "chaos_threeway": "All three middlewares under one deterministic fault plan",
-    "chaos_durability": "Durable delivery parity: 0 loss AND 0 duplicates under faults",
-    "chaos_broker_failover": "Plog broker crash: one-shot vs retry vs failover vs RF=2",
-    "chaos_replication": "Plog durability ladder under a broker crash: RF x acks",
-    "chaos_adaptive_backoff": "Plog retry: fixed vs RTT-adaptive backoff",
-    "scenario_threeway": "One grid scenario on all three middlewares, SLA scorecard",
-    "scenario_edge_storm": "One grid scenario through the edge tier, SLA scorecard",
-    "ablation_dbn_routing": "DBN broadcast flaw vs subscription-aware routing",
-    "ablation_udp_ack": "UDP with and without the JMS ack protocol",
-    "ablation_rgma_mediator": "R-GMA process time vs consumer per-tuple cost",
-    "ablation_aggregation": "Message count vs byte volume at equal payload rate",
-    "ablation_rgma_https": "R-GMA over HTTP vs HTTPS",
-    "ablation_web_services": "SOAP proxy publish vs native JMS (§III.D)",
-    "ablation_rgma_legacy_api": "Old Stream Producer API vs new PP pipeline",
-    "ablation_clock_skew": "Cross-node timestamp error vs clock discipline",
-}
-
 
 def list_experiments() -> str:
     """The ``--list`` text: one aligned line per registered experiment."""
-    width = max(len(i) for i in EXPERIMENT_IDS)
+    width = max(len(i) for i in EXPERIMENTS)
     return "\n".join(
-        f"{experiment_id:<{width}}  {DESCRIPTIONS.get(experiment_id, '')}"
-        for experiment_id in EXPERIMENT_IDS
+        f"{experiment_id:<{width}}  {experiment.description}"
+        for experiment_id, experiment in EXPERIMENTS.items()
     )
 
 
@@ -1269,64 +1068,42 @@ def run(
 ) -> ExperimentResult:
     """Run one experiment by id; returns its :class:`ExperimentResult`.
 
-    ``fault_plan`` selects a named fault schedule for the chaos and
-    scenario experiments and is an error for any other experiment id;
-    ``scenario`` selects a scenario script for the scenario experiments
-    only.  ``jobs`` fans the sweep points out over that many worker
-    processes (default: ``$REPRO_JOBS``, else serial — results are
+    ``scale`` is a :class:`Scale` or a preset name (default:
+    :meth:`Scale.from_env`).  ``fault_plan`` selects a named fault schedule
+    and ``scenario`` a scenario script, each an error for an experiment
+    whose table entry does not list it; left out, the experiment's own
+    default applies.  ``jobs`` fans the sweep points out over that many
+    worker processes (default: ``$REPRO_JOBS``, else serial — results are
     identical either way); ``cache=False`` bypasses both sweep-cache tiers
     for this call.
     """
-    global _active_fault_plan, _active_scenario, _jobs, _cache_enabled
-    if isinstance(scale, str):
-        scale = Scale.named(scale)
-    scale = scale or Scale.from_env()
+    global _jobs, _cache_enabled
+    if not isinstance(scale, Scale):
+        scale = Scale.from_env() if scale is None else Scale.named(scale)
     try:
-        fn = EXPERIMENTS[experiment_id]
+        experiment = EXPERIMENTS[experiment_id]
     except KeyError:
         raise ValueError(
             f"unknown experiment {experiment_id!r}; choose from {EXPERIMENT_IDS}"
         ) from None
-    if (
-        experiment_id not in CHAOS_EXPERIMENTS
-        and experiment_id not in SCENARIO_EXPERIMENTS
-        and fault_plan is not None
-    ):
-        raise ValueError(
-            f"--fault-plan only applies to chaos experiments "
-            f"{CHAOS_EXPERIMENTS} and scenario experiments "
-            f"{SCENARIO_EXPERIMENTS}, not {experiment_id!r}"
-        )
-    if scenario is not None and experiment_id not in SCENARIO_EXPERIMENTS:
-        raise ValueError(
-            f"--scenario only applies to scenario experiments "
-            f"{SCENARIO_EXPERIMENTS}, not {experiment_id!r}"
-        )
+    options = {
+        name: value
+        for name, value in (("fault_plan", fault_plan), ("scenario", scenario))
+        if value is not None
+    }
+    for name in options:
+        if name not in experiment.options:
+            accepting = sorted(i for i, e in EXPERIMENTS.items() if name in e.options)
+            raise ValueError(
+                f"--{name.replace('_', '-')} only applies to {', '.join(accepting)}, "
+                f"not {experiment_id!r}"
+            )
+    if scenario is not None and scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
     previous_jobs, _jobs = _jobs, resolve_jobs(jobs)
     previous_cache, _cache_enabled = _cache_enabled, _cache_enabled and cache
     try:
-        if experiment_id in SCENARIO_EXPERIMENTS:
-            chosen = scenario or _SCENARIO_DEFAULT[experiment_id]
-            if chosen not in SCENARIOS:
-                raise ValueError(
-                    f"unknown scenario {chosen!r}; choose from {sorted(SCENARIOS)}"
-                )
-            previous_plan, _active_fault_plan = _active_fault_plan, fault_plan
-            previous_scenario, _active_scenario = _active_scenario, chosen
-            try:
-                return fn(scale, seed, scenario=chosen, fault_plan=fault_plan)
-            finally:
-                _active_fault_plan = previous_plan
-                _active_scenario = previous_scenario
-        if experiment_id in CHAOS_EXPERIMENTS:
-            plan = fault_plan or _CHAOS_DEFAULT_PLAN[experiment_id]
-            previous_plan = _active_fault_plan
-            _active_fault_plan = plan
-            try:
-                return fn(scale, seed, fault_plan=plan)
-            finally:
-                _active_fault_plan = previous_plan
-        return fn(scale, seed)
+        return experiment.fn(scale=scale, seed=seed, **options)
     finally:
         _jobs = previous_jobs
         _cache_enabled = previous_cache
@@ -1403,27 +1180,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         telemetry = Telemetry(label=" ".join(ids))
         ctx = tel_context.session(telemetry)
     jobs = resolve_jobs(args.jobs, default=os.cpu_count() or 1)
+    flags = {"fault_plan": args.fault_plan, "scenario": args.scenario}
     with ctx:
         for experiment_id in ids:
-            plan = (
-                args.fault_plan
-                if experiment_id in CHAOS_EXPERIMENTS
-                or experiment_id in SCENARIO_EXPERIMENTS
-                else None
-            )
-            scenario = (
-                args.scenario
-                if experiment_id in SCENARIO_EXPERIMENTS
-                else None
-            )
+            # Flags an experiment does not take are dropped for it, so one
+            # command line can mix ids; run() rejects unknown ids.
+            accepted = EXPERIMENTS[experiment_id].options if experiment_id in EXPERIMENTS else ()
             result = run(
                 experiment_id,
                 scale=args.scale,
                 seed=args.seed,
-                fault_plan=plan,
-                scenario=scenario,
                 jobs=jobs,
                 cache=not args.no_cache,
+                **{name: value for name, value in flags.items() if name in accepted},
             )
             print(result.render())
             print()

@@ -70,24 +70,9 @@ class Scale:
 
     @classmethod
     def named(cls, name: str) -> "Scale":
-        try:
-            return {"bench": cls.bench, "smoke": cls.smoke, "full": cls.full}[name]()
-        except KeyError:
-            raise ValueError(f"unknown scale {name!r}") from None
-
-    def cache_key(self) -> tuple:
-        """Every field, as a stable tuple for sweep-cache keys.
-
-        The preset ``name`` alone is not enough once cache entries persist
-        on disk: a hand-built ``Scale`` (tests do this) may reuse a preset
-        name with different timings, and two such scales must never share a
-        cache entry.
-        """
-        return (
-            self.name,
-            self.duration,
-            self.creation_interval_narada,
-            self.creation_interval_rgma,
-            self.warmup,
-            self.drain,
-        )
+        presets = {"bench": cls.bench, "smoke": cls.smoke, "full": cls.full}
+        if not isinstance(name, str) or name not in presets:
+            raise ValueError(
+                f"unknown scale {name!r}; choose from {', '.join(presets)}"
+            )
+        return presets[name]()

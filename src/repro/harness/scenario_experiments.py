@@ -313,11 +313,3 @@ def scenario_edge_storm(
     )
     return result
 
-
-def scenario_cache_key(name: str) -> tuple:
-    """Sweep-cache key fragment: the scenario's *structure*, not its name.
-
-    Resolved with a unit window so edits to a library template (new event,
-    changed multiplier) change the key and invalidate cached results.
-    """
-    return (name, named_scenario(name)(0.0, 1.0).cache_key())

@@ -50,15 +50,6 @@ class CohortSpec:
     def gen_ids(self) -> np.ndarray:
         return np.arange(self.gen_lo, self.gen_hi, dtype=np.int64)
 
-    def cache_key(self) -> tuple:
-        return (
-            self.gen_lo,
-            self.gen_hi,
-            self.capacity_kw,
-            self.site,
-            self.trip_probability,
-        )
-
 
 class CohortDynamics:
     """The :class:`PowerGenerator` state model over generator-id arrays.

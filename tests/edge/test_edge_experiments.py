@@ -3,7 +3,8 @@
 import pytest
 
 from repro.edge import EdgeConfig
-from repro.harness import edge_experiments
+from repro.harness import edge_experiments, runner
+from repro.harness.cache import DiskCache
 from repro.harness.scale import Scale
 
 
@@ -45,18 +46,26 @@ def test_run_edge_sweep_parallel_matches_serial():
 
 
 def test_sweep_cache_key_folds_gateway_topology():
+    def key(points, middleware, **kwargs):
+        return runner._entry_key(
+            edge_experiments.run_edge_sweep, points, middleware, smoke(), 1, **kwargs
+        )
+
+    def path(k):
+        return DiskCache().path_for(k)
+
     points = ((1000, 1), (1000, 4))
-    base = edge_experiments.sweep_cache_key(points, "narada")
+    base = key(points, "narada")
     # Different gateway count at the same client count -> different key.
-    assert base != edge_experiments.sweep_cache_key(((1000, 2), (1000, 4)), "narada")
+    assert path(base) != path(key(((1000, 2), (1000, 4)), "narada"))
     # Different middleware -> different key.
-    assert base != edge_experiments.sweep_cache_key(points, "plog")
-    # Re-tuned gateway config -> different key.
+    assert path(base) != path(key(points, "plog"))
+    # Re-tuned gateway config (a frozen dataclass argument) -> different key.
     tuned = EdgeConfig(replay_capacity=8192)
-    assert base != edge_experiments.sweep_cache_key(points, "narada", tuned)
+    assert path(base) != path(key(points, "narada", config=tuned))
     # Same inputs -> identical (hashable) key.
-    assert base == edge_experiments.sweep_cache_key(points, "narada")
-    assert hash(base) == hash(edge_experiments.sweep_cache_key(points, "narada"))
+    assert base == key(points, "narada")
+    assert hash(base) == hash(key(points, "narada"))
 
 
 def test_edge_scaling_reports_pooling_meta():

@@ -23,15 +23,6 @@ def test_params_validation():
         FederationParams(routing="flood")
 
 
-def test_cache_key_distinguishes_shape_and_mode():
-    base = FederationParams(fanout=2, depth=3, routing="routed")
-    assert base.cache_key() != FederationParams(
-        fanout=2, depth=3, routing="broadcast"
-    ).cache_key()
-    assert base.cache_key() != FederationParams(fanout=3, depth=3).cache_key()
-    assert base.cache_key() != FederationParams(fanout=2, depth=4).cache_key()
-
-
 def test_parent_child_inverse():
     topology = TreeTopology(15, fanout=2)
     for name in topology.names:

@@ -2,18 +2,33 @@
 acceptance properties — loss under faults, recovery, and bit-identical
 same-seed reruns."""
 
+import inspect
+
 import pytest
 
 from repro.faults import PLANS, named_plan
 from repro.harness import runner
 from repro.harness.scale import Scale
 
+CHAOS_IDS = {
+    "chaos_threeway",
+    "chaos_durability",
+    "chaos_broker_failover",
+    "chaos_replication",
+    "chaos_adaptive_backoff",
+    "edge_gateway_crash",
+}
+
 
 def test_chaos_experiments_are_registered():
-    for experiment_id in runner.CHAOS_EXPERIMENTS:
-        assert experiment_id in runner.EXPERIMENTS
-        assert experiment_id in runner.DESCRIPTIONS
+    """Each takes ``--fault-plan`` only, and its own ``fault_plan`` default
+    (what run() falls back to) is a library plan."""
+    chaos = {i for i, e in runner.EXPERIMENTS.items() if e.options == ("fault_plan",)}
+    assert chaos == CHAOS_IDS
+    for experiment_id in chaos:
         assert experiment_id in runner.list_experiments()
+        fn = runner.EXPERIMENTS[experiment_id].fn
+        assert inspect.signature(fn).parameters["fault_plan"].default in PLANS
 
 
 def test_fault_plan_is_rejected_for_non_chaos_experiments():

@@ -2,13 +2,14 @@
 broadcast behaviour, fault recovery and span decomposition."""
 
 from repro.faults import FaultPlan
+from repro.harness import runner
 from repro.harness.cache import DiskCache
 from repro.harness.federation_experiments import (
-    FANOUT,
+    FEDERATION_SWEEP,
     federation_broadcast_run,
     federation_run,
     federation_scaling,
-    sweep_cache_key,
+    run_federation_sweep,
 )
 from repro.harness.scale import Scale
 from repro.telemetry import Telemetry, phase_breakdown
@@ -17,13 +18,8 @@ from repro.telemetry.context import session
 SMOKE = Scale.smoke()
 
 
-def _sweep_key(routing, counts=(3, 7), fanout=FANOUT, scale=SMOKE, seed=1):
-    return (
-        "federation",
-        sweep_cache_key(counts, fanout, routing),
-        scale.cache_key(),
-        seed,
-    )
+def _sweep_key(routing, counts=(3, 7), scale=SMOKE, seed=1):
+    return runner._entry_key(run_federation_sweep, counts, routing, scale, seed)
 
 
 # ------------------------------------------------------------ cache keying
@@ -39,16 +35,19 @@ def test_disk_cache_separates_topology_shape():
     cache = DiskCache()
     base = cache.path_for(_sweep_key("routed"))
     assert base != cache.path_for(_sweep_key("routed", counts=(3, 7, 15)))
-    assert base != cache.path_for(_sweep_key("routed", fanout=3))
     assert base != cache.path_for(_sweep_key("routed", seed=2))
 
 
-def test_sweep_cache_key_carries_depth_fanout_routing():
-    key = sweep_cache_key((3, 7), 2, "routed")
-    assert key == (
-        (3, ("federation_params", 2, 2, "routed")),
-        (7, ("federation_params", 3, 2, "routed")),
-    )
+def test_runner_federation_key_carries_counts_and_routing(monkeypatch):
+    """The runner's federation legs are keyed by their broker counts (which
+    fix each tree's depth) and routing mode; the fan-out is a module
+    constant, covered by the disk tier's code salt."""
+    monkeypatch.setattr(runner, "_cached", runner._entry_key)  # leg -> its key
+    routed = runner._federation_leg(SMOKE, 1, "routed")
+    broadcast = runner._federation_leg(SMOKE, 1, "broadcast")
+    assert routed == _sweep_key("routed", counts=FEDERATION_SWEEP)
+    assert broadcast == _sweep_key("broadcast", counts=FEDERATION_SWEEP)
+    assert routed != broadcast
 
 
 # ------------------------------------------------------------- run smokes

@@ -10,7 +10,6 @@ from repro.harness.fleet_experiments import (
     COHORT_SIZE,
     fleet_scaling,
     run_fleet_sweep,
-    sweep_cache_key,
     sweep_points,
     zoom_check,
 )
@@ -22,13 +21,8 @@ POINTS = (200, 400)
 
 
 def _sweep_key(middleware="narada", mode="aggregate", points=POINTS,
-               cohort_size=COHORT_SIZE, scale=SMOKE, seed=1):
-    return (
-        "fleet",
-        sweep_cache_key(points, middleware, mode, cohort_size),
-        scale.cache_key(),
-        seed,
-    )
+               scale=SMOKE, seed=1, **kwargs):
+    return runner._entry_key(run_fleet_sweep, points, middleware, mode, scale, seed, **kwargs)
 
 
 # ------------------------------------------------------------ cache keying
@@ -45,18 +39,23 @@ def test_disk_cache_separates_aggregate_from_process():
 def test_disk_cache_separates_cohort_and_model_parameters():
     cache = DiskCache()
     base = cache.path_for(_sweep_key())
-    assert base != cache.path_for(_sweep_key(cohort_size=1024))
+    assert cache.path_for(_sweep_key(cohort_size=COHORT_SIZE)) != cache.path_for(
+        _sweep_key(cohort_size=1024)
+    )
     assert base != cache.path_for(_sweep_key(middleware="plog"))
     assert base != cache.path_for(_sweep_key(points=(200,)))
     assert base != cache.path_for(_sweep_key(seed=2))
 
 
-def test_sweep_cache_key_folds_mode_cohort_and_service_model():
-    key = sweep_cache_key((200,), "narada", "aggregate", 512)
-    assert len(key) == 1
-    n, mw, mode, cohort, model_key = key[0]
-    assert (n, mw, mode, cohort) == (200, "narada", "aggregate", 512)
-    assert model_key[0] == "narada"  # recalibration invalidates the sweep
+def test_runner_fleet_key_folds_points_middleware_and_mode(monkeypatch):
+    """The runner's fleet legs are keyed by points, middleware and mode; the
+    default cohort width and the service models are module constants,
+    covered by the disk tier's code salt."""
+    monkeypatch.setattr(runner, "_cached", runner._entry_key)  # leg -> its key
+    key = runner._fleet_sweep(SMOKE, 1, "narada", "aggregate")
+    assert key == _sweep_key(points=sweep_points(SMOKE, "aggregate"))
+    assert key != runner._fleet_sweep(SMOKE, 1, "narada", "process")
+    assert key != runner._fleet_sweep(SMOKE, 1, "plog", "aggregate")
 
 
 # ------------------------------------------------------------- sweep legs
@@ -115,7 +114,7 @@ def test_fleet_scaling_raises_on_disagreement():
 
 def test_runner_registers_fleet_scaling():
     assert "fleet_scaling" in runner.EXPERIMENTS
-    assert "fleet_scaling" in runner.DESCRIPTIONS
+    assert runner.EXPERIMENTS["fleet_scaling"].description
 
 
 def test_sweep_points_per_mode():

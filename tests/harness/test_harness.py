@@ -175,7 +175,15 @@ def test_runner_list_flag(capsys):
 
 
 def test_runner_every_id_has_a_description():
-    assert set(runner.DESCRIPTIONS) == set(runner.EXPERIMENT_IDS)
+    assert all(e.description for e in runner.EXPERIMENTS.values())
+
+
+def test_runner_rejects_a_scale_that_is_not_a_preset():
+    """The package quickstart once passed ``scale=0.25``: the error must
+    name the presets instead of failing deep inside a sweep."""
+    for bad in (0.25, "huge"):
+        with pytest.raises(ValueError, match="bench, smoke, full"):
+            runner.run("fig7", scale=bad, cache=False)
 
 
 def test_runner_no_args_errors(capsys):

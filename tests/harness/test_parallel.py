@@ -5,11 +5,14 @@ The headline guarantees:
 * a sweep fanned out over worker processes is **byte-identical** to the
   serial sweep (record books pickle to the same bytes, figure tables
   match);
+* every entry is keyed by one rule — the builder plus the arguments it
+  is called with, ``jobs`` excepted;
 * the in-memory tier is LRU-bounded;
-* the disk tier is namespaced by fault plan and code version, and
-  ``clear_cache`` / ``cache=False`` really do bypass it.
+* the disk tier is namespaced by those arguments and the code version,
+  and ``clear_cache`` / ``cache=False`` really do bypass it.
 """
 
+import dataclasses
 import pickle
 
 import pytest
@@ -83,6 +86,8 @@ def test_fig7_table_identical_serial_vs_parallel(monkeypatch):
     )
     serial = runner.run("fig7", scale=TINY, seed=9, jobs=1, cache=False)
     parallel = runner.run("fig7", scale=TINY, seed=9, jobs=3, cache=False)
+    # The runner reads the sweep tuples when it runs, so the patch applies.
+    assert [p.x for p in serial.series["RTT"]] == [20, 40]
     assert serial.series == parallel.series
     assert serial.notes == parallel.notes
 
@@ -129,6 +134,53 @@ def test_parallel_merges_telemetry_like_serial():
     ]
 
 
+# ------------------------------------------------------------- the key rule
+
+def test_jobs_is_not_part_of_the_key():
+    """``jobs=1`` and ``jobs=2`` share one entry: jobs never changes a sweep."""
+    built = []
+
+    def sweep(n, jobs=1):
+        built.append(jobs)
+        return n
+
+    assert runner._cached(sweep, 5, jobs=1) == 5
+    assert runner._cached(sweep, 5, jobs=2) == 5
+    assert built == [1]
+    assert runner._entry_key(sweep, 5, jobs=1) == runner._entry_key(sweep, 5, jobs=2)
+
+
+def test_key_names_the_builder_and_its_arguments():
+    def sweep(n, routing="routed", seed=1):
+        return n
+
+    def other(n, routing="routed", seed=1):
+        return n
+
+    key = runner._entry_key(sweep, 5, routing="routed", seed=1)
+    assert key[:3] == (__name__, sweep.__qualname__, 5)
+    assert key == runner._entry_key(sweep, 5, seed=1, routing="routed")
+    assert key != runner._entry_key(sweep, 5, routing="broadcast", seed=1)
+    assert key != runner._entry_key(sweep, 6, routing="routed", seed=1)
+    assert key != runner._entry_key(other, 5, routing="routed", seed=1)
+
+
+def test_key_rule_rejects_arguments_without_a_stable_repr():
+    """A repr with a memory address would make the disk tier never hit."""
+
+    @dataclasses.dataclass
+    class Mutable:
+        x: int = 0
+
+    def sweep(arg):
+        return arg
+
+    for bad in ([20, 40], {"n": 1}, object(), Mutable(), (1, object())):
+        with pytest.raises(TypeError, match="cannot key"):
+            runner._cached(sweep, bad)
+    assert runner._cached(sweep, ((1, 2), None, True, 0.5, "s", TINY)) is not None
+
+
 # ------------------------------------------------------------ memory tier
 
 def test_memory_tier_is_lru_bounded(monkeypatch):
@@ -137,27 +189,21 @@ def test_memory_tier_is_lru_bounded(monkeypatch):
     with tel_context.session(Telemetry("lru")):
         calls = []
 
-        def builder(tag):
-            def build():
-                calls.append(tag)
-                return tag
+        def build(tag):
+            calls.append(tag)
+            return tag
 
-            return build
-
-        runner._cached(("a",), builder("a"))
-        runner._cached(("b",), builder("b"))
-        runner._cached(("a",), builder("a2"))  # hit; refreshes a
-        runner._cached(("c",), builder("c"))  # evicts b (LRU)
-        runner._cached(("a",), builder("a3"))  # still cached
-        runner._cached(("b",), builder("b2"))  # rebuilt
-        assert calls == ["a", "b", "c", "b2"]
+        # a, b, a (hit; refreshes a), c (evicts b), a (still cached), b (rebuilt)
+        for tag in ("a", "b", "a", "c", "a", "b"):
+            assert runner._cached(build, tag) == tag
+        assert calls == ["a", "b", "c", "b"]
 
 
 def test_cache_disabled_calls_builder_every_time(monkeypatch):
     monkeypatch.setattr(runner, "_cache_enabled", False)
     calls = []
     for _ in range(2):
-        runner._cached(("k",), lambda: calls.append(1))
+        runner._cached(lambda: calls.append(1))
     assert len(calls) == 2
 
 
@@ -166,52 +212,59 @@ def test_cache_disabled_calls_builder_every_time(monkeypatch):
 def test_disk_tier_survives_memory_clear():
     built = []
 
-    def build():
-        built.append(1)
-        return {"value": 42}
+    def build(value):
+        built.append(value)
+        return {"value": value}
 
-    key = ("disk_roundtrip", 1)
-    assert runner._cached(key, build) == {"value": 42}
+    assert runner._cached(build, 42) == {"value": 42}
     runner._sweep_cache.clear()  # drop the memory tier only
-    assert runner._cached(key, build) == {"value": 42}
-    assert len(built) == 1  # second lookup came from disk
+    assert runner._cached(build, 42) == {"value": 42}
+    assert built == [42]  # second lookup came from disk
 
 
-def test_fault_plan_namespaces_disk_entries(monkeypatch):
+def test_fault_plan_namespaces_disk_entries():
     """A fault-plan sweep must never satisfy a fault-free lookup."""
-    key = ("chaos_namespacing", 5)
-    monkeypatch.setattr(runner, "_active_fault_plan", "loss_burst")
-    assert runner._cached(key, lambda: "faulted") == "faulted"
+    built = []
 
-    monkeypatch.setattr(runner, "_active_fault_plan", None)
+    def leg(seed, fault_plan=None):
+        built.append(fault_plan)
+        return fault_plan or "clean"
+
+    assert runner._cached(leg, 5, fault_plan="loss_burst") == "loss_burst"
     runner._sweep_cache.clear()  # force both lookups to the disk tier
-    assert runner._cached(key, lambda: "clean") == "clean"
-
+    assert runner._cached(leg, 5) == "clean"
     # ... while the same plan does hit its own entry.
-    monkeypatch.setattr(runner, "_active_fault_plan", "loss_burst")
     runner._sweep_cache.clear()
-    assert runner._cached(key, lambda: "rebuilt?") == "faulted"
+    assert runner._cached(leg, 5, fault_plan="loss_burst") == "loss_burst"
+    assert built == ["loss_burst", None]
 
 
 def test_telemetry_session_bypasses_disk_tier():
     """Disk entries carry no live spans, so --trace runs must not use them."""
-    key = ("telemetry_bypass", 3)
-    assert runner._cached(key, lambda: "cold") == "cold"  # seeds the disk
+    built = []
+
+    def leg(seed):
+        built.append(seed)
+        return len(built)
+
+    assert runner._cached(leg, 3) == 1  # seeds the disk
     runner._sweep_cache.clear()
     with tel_context.session(Telemetry("probe")):
-        assert runner._cached(key, lambda: "live") == "live"
+        assert runner._cached(leg, 3) == 2  # built live
     # Sessionless lookups still see the sessionless entry.
     runner._sweep_cache.clear()
-    assert runner._cached(key, lambda: "rebuilt?") == "cold"
+    assert runner._cached(leg, 3) == 1
 
 
 def test_clear_cache_empties_both_tiers():
-    key = ("clear_both", 7)
-    runner._cached(key, lambda: "warm")
-    assert DiskCache().get(runner._disk_key(key)) == "warm"
+    def leg(seed):
+        return "warm"
+
+    runner._cached(leg, 7)
+    assert DiskCache().get(runner._entry_key(leg, 7)) == "warm"
     runner.clear_cache()
     assert runner._sweep_cache == {}
-    assert DiskCache().get(runner._disk_key(key)) is None
+    assert DiskCache().get(runner._entry_key(leg, 7)) is None
 
 
 def test_corrupt_disk_entry_is_a_miss():
@@ -224,6 +277,26 @@ def test_corrupt_disk_entry_is_a_miss():
 
 
 def test_scale_cache_key_distinguishes_same_name():
+    """Scales enter the key as themselves, so every field namespaces both
+    tiers: a hand-built scale reusing a preset name, or one differing only
+    in ``drain``, never shares an entry."""
+    built = []
+
+    def sweep(scale, seed=1):
+        built.append(scale)
+        return scale.drain
+
+    bench = Scale.bench()
     fast = Scale("bench", 1.0, 0.01, 0.01, (0.1, 0.2), 1.0)
-    assert fast.cache_key() != Scale.bench().cache_key()
-    assert Scale.bench().cache_key() == Scale.bench().cache_key()
+    drained = dataclasses.replace(bench, drain=bench.drain + 1.0)
+    key = runner._entry_key(sweep, bench)
+    assert key == runner._entry_key(sweep, Scale.bench())
+    for other in (fast, drained):
+        assert runner._entry_key(sweep, other) != key
+        assert DiskCache().path_for(runner._entry_key(sweep, other)) != DiskCache().path_for(key)
+    # Memory tier: three entries, three builds.
+    assert [runner._cached(sweep, s) for s in (bench, drained, fast)] == [20.0, 21.0, 1.0]
+    # Disk tier: each scale finds its own entry.
+    runner._sweep_cache.clear()
+    assert [runner._cached(sweep, s) for s in (bench, drained, fast)] == [20.0, 21.0, 1.0]
+    assert built == [bench, drained, fast]

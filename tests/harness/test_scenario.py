@@ -2,18 +2,23 @@
 acceptance properties — byte-identical same-seed scorecards and the plog
 acks=all zero-duplicate guarantee."""
 
+import inspect
+
 import pytest
 
-from repro.harness import runner, scenario_experiments
+from repro.harness import cache, runner, scenario_experiments
 from repro.harness.edge_experiments import EDGE_MIDDLEWARES
 from repro.harness.scale import Scale
 from repro.scenario import SCENARIOS
 
+SMOKE = Scale.smoke()
+
 
 def test_scenario_experiments_are_registered():
-    for experiment_id in runner.SCENARIO_EXPERIMENTS:
-        assert experiment_id in runner.EXPERIMENTS
-        assert experiment_id in runner.DESCRIPTIONS
+    scenario = {i for i, e in runner.EXPERIMENTS.items() if "scenario" in e.options}
+    assert scenario == {"scenario_threeway", "scenario_edge_storm"}
+    for experiment_id in scenario:
+        assert "fault_plan" in runner.EXPERIMENTS[experiment_id].options
         assert experiment_id in runner.list_experiments()
 
 
@@ -39,19 +44,35 @@ def test_cli_exposes_scenario_choices():
         runner.main(["scenario_threeway", "--scenario", "heat_dome"])
 
 
-def test_scenario_cache_key_is_stable_and_structure_sensitive():
-    a = scenario_experiments.scenario_cache_key("storm_front")
-    b = scenario_experiments.scenario_cache_key("storm_front")
-    c = scenario_experiments.scenario_cache_key("alarm_storm")
-    assert a == b
-    assert a != c
-    assert a[0] == "storm_front"
+def test_scenario_cache_key_is_stable_and_structure_sensitive(monkeypatch):
+    """The scored legs are keyed by scenario name and fault plan; the
+    library's structure is source code, so a template edit changes the disk
+    tier's code salt and with it every path."""
+    outcomes = scenario_experiments.threeway_outcomes
+
+    def key(**options):
+        return runner._entry_key(outcomes, SMOKE, 1, **options)
+
+    storm = key(scenario="storm_front")
+    assert storm == key(scenario="storm_front")
+    assert storm != key(scenario="alarm_storm")
+    assert ("scenario", "storm_front") in storm
+    assert storm != key(scenario="storm_front", fault_plan="loss_burst")
+    before = cache.DiskCache().path_for(storm)
+    monkeypatch.setattr(cache, "_code_salt", "library edited")
+    assert cache.DiskCache().path_for(storm) != before
 
 
 def test_default_scenarios_are_in_the_library():
-    for experiment_id, default in runner._SCENARIO_DEFAULT.items():
-        assert experiment_id in runner.SCENARIO_EXPERIMENTS
+    """Each scenario experiment's legs and scorecard default to the same
+    library scenario (the only place that default is written)."""
+    for legs, card in (
+        (scenario_experiments.threeway_outcomes, scenario_experiments.scenario_threeway),
+        (scenario_experiments.edge_outcomes, scenario_experiments.scenario_edge_storm),
+    ):
+        default = inspect.signature(legs).parameters["scenario"].default
         assert default in SCENARIOS
+        assert inspect.signature(card).parameters["scenario"].default == default
     for name, template in SCENARIOS.items():
         assert template(0.0, 1.0).name == name
 

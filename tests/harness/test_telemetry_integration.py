@@ -29,22 +29,23 @@ def clear_runner_cache():
 
 
 # ------------------------------------------------------------- cache context
-def test_cache_reuses_only_matching_context(monkeypatch):
+def test_cache_reuses_only_matching_context():
     builds = []
 
-    def lookup():
-        return runner._cached(("sweep", "smoke", 1), lambda: builds.append(1))
+    def sweep(scale, seed, fault_plan=None):
+        builds.append(fault_plan)
+
+    def lookup(fault_plan=None):
+        return runner._cached(sweep, SMOKE, 1, fault_plan=fault_plan)
 
     lookup()
     lookup()
     assert len(builds) == 1  # plain lookups share one build
 
-    # An active fault plan must force a fresh sweep (and get its own entry).
-    monkeypatch.setattr(runner, "_active_fault_plan", "loss_burst")
-    lookup()
-    lookup()
+    # A fault plan must force a fresh sweep (and get its own entry).
+    lookup("loss_burst")
+    lookup("loss_burst")
     assert len(builds) == 2
-    monkeypatch.setattr(runner, "_active_fault_plan", None)
 
     # A telemetry session must force a fresh sweep too: a cached sweep was
     # built without span hooks, so reusing it would return empty traces.
@@ -62,21 +63,20 @@ def test_cache_reuses_only_matching_context(monkeypatch):
     assert len(builds) == 4
 
 
-def test_run_sets_and_restores_active_fault_plan(monkeypatch):
+def test_run_forwards_fault_plan_else_the_default(monkeypatch):
     seen = {}
 
-    def stub(scale, seed, fault_plan):
+    def stub(scale, seed, fault_plan="loss_burst"):
         seen["plan"] = fault_plan
-        seen["context"] = runner._cache_context()
         return ExperimentResult("chaos_threeway", "stub", "", "")
 
-    monkeypatch.setitem(runner.EXPERIMENTS, "chaos_threeway", stub)
+    monkeypatch.setitem(
+        runner.EXPERIMENTS, "chaos_threeway", runner.Experiment(stub, "stub", ("fault_plan",))
+    )
     runner.run("chaos_threeway", scale=SMOKE, seed=1, fault_plan="mixed")
     assert seen["plan"] == "mixed"
-    assert seen["context"][0] == "mixed"  # folded into cache keys inside
-    assert runner._active_fault_plan is None  # restored afterwards
 
-    # Default plan applies when --fault-plan is not given.
+    # The experiment's own default applies when --fault-plan is not given.
     runner.run("chaos_threeway", scale=SMOKE, seed=1)
     assert seen["plan"] == "loss_burst"
 
@@ -92,7 +92,7 @@ def test_cli_trace_and_metrics_out(tmp_path, monkeypatch, capsys):
         result.table = (["received"], [[run.received]])
         return result
 
-    monkeypatch.setitem(runner.EXPERIMENTS, "tiny", tiny)
+    monkeypatch.setitem(runner.EXPERIMENTS, "tiny", runner.Experiment(tiny, "tiny"))
     trace = tmp_path / "trace.jsonl"
     metrics = tmp_path / "metrics.json"
     rc = runner.main([
@@ -120,7 +120,7 @@ def test_cli_without_flags_prints_no_telemetry(monkeypatch, capsys):
     monkeypatch.setitem(
         runner.EXPERIMENTS,
         "tiny",
-        lambda scale, seed: ExperimentResult("tiny", "t", "", ""),
+        runner.Experiment(lambda scale, seed: ExperimentResult("tiny", "t", "", ""), "t"),
     )
     assert runner.main(["tiny", "--scale", "smoke"]) == 0
     assert "telemetry" not in capsys.readouterr().out
